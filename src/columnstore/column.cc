@@ -1,5 +1,9 @@
 #include "columnstore/column.h"
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+
 #include "util/check.h"
 
 namespace colgraph {
@@ -82,9 +86,50 @@ void MeasureColumn::Unseal() {
   presence_.Unseal();
 }
 
-std::optional<double> MeasureColumn::Get(size_t record) const {
-  if (!presence_.Test(record)) return std::nullopt;
-  return values_[presence_.Rank(record)];
+void MeasureColumn::Gather(const uint64_t* records, size_t n, uint64_t base,
+                           double* out, uint8_t* present) const {
+  COLGRAPH_DCHECK(sealed());
+  constexpr double kNull = std::numeric_limits<double>::quiet_NaN();
+  if (values_.empty()) {
+    // All NULL: no rank can index the empty value array.
+    std::fill(out, out + n, kNull);
+    if (present != nullptr) std::memset(present, 0, n);
+    return;
+  }
+  const uint64_t* words = presence_.bits().words().data();
+  const double* values = values_.data();
+  uint32_t rank[kGatherBlock];
+  uint8_t hit[kGatherBlock];
+  for (size_t begin = 0; begin < n; begin += kGatherBlock) {
+    const size_t len = std::min(kGatherBlock, n - begin);
+    const uint64_t* rows = records + begin;
+    // Pass 1: presence and rank from the row's presence word.
+    for (size_t i = 0; i < len; ++i) {
+      const uint64_t record = rows[i] - base;
+      COLGRAPH_DCHECK_LT(record, presence_.size());
+      const size_t word = record / Bitmap::kWordBits;
+      const uint64_t bits = words[word];
+      const uint64_t bit = record % Bitmap::kWordBits;
+      const uint64_t set = (bits >> bit) & 1;
+      const uint64_t below = bits & ((uint64_t{1} << bit) - 1);
+      // An absent row's rank can equal num_values(), one past the end;
+      // send it to value 0 so pass 2 loads unconditionally and in bounds.
+      rank[i] = static_cast<uint32_t>(
+          (presence_.WordRank(word) +
+           static_cast<size_t>(__builtin_popcountll(below))) *
+          set);
+      hit[i] = static_cast<uint8_t>(set);
+      // Start the value's load now; pass 2 finds it in flight.
+      __builtin_prefetch(values + rank[i]);
+    }
+    // Pass 2: the packed values by rank.
+    double* dst = out + begin;
+    for (size_t i = 0; i < len; ++i) {
+      const double v = values[rank[i]];
+      dst[i] = hit[i] != 0 ? v : kNull;
+    }
+    if (present != nullptr) std::memcpy(present + begin, hit, len);
+  }
 }
 
 }  // namespace colgraph

@@ -13,6 +13,7 @@
 
 #include "bitmap/bitmap.h"
 #include "bitmap/hybrid_bitmap.h"
+#include "util/check.h"
 #include "util/status.h"
 
 namespace colgraph {
@@ -68,6 +69,10 @@ class BitmapColumn {
 
   /// Number of set bits strictly before `pos`. Requires sealed().
   size_t Rank(size_t pos) const;
+  /// Number of set bits before word `word` of bits(): the rank directory
+  /// entry. Rank(pos) is WordRank(pos / 64) plus the popcount of the bits
+  /// below `pos` in its word. Requires sealed() and word < words().size().
+  size_t WordRank(size_t word) const { return rank_[word]; }
 
   /// Set-bit count; O(1) after Seal() (cached), O(words) before.
   size_t Count() const { return sealed_ ? count_ : bits_.Count(); }
@@ -119,8 +124,41 @@ class MeasureColumn {
     presence_.ChooseEncoding(hybrid_enabled);
   }
 
-  /// Value of `record`, or nullopt when NULL. Requires sealed().
-  std::optional<double> Get(size_t record) const;
+  /// Value of `record`, or nullopt when NULL, from one load of its
+  /// presence word. For point reads; bulk readers use Gather. Requires
+  /// sealed() and record < presence().size().
+  std::optional<double> Get(size_t record) const {
+    COLGRAPH_DCHECK_LT(record, presence_.size());
+    const size_t word = record / Bitmap::kWordBits;
+    const uint64_t bits = presence_.bits().words()[word];
+    const uint64_t bit = record % Bitmap::kWordBits;
+    if (((bits >> bit) & 1) == 0) return std::nullopt;
+    const uint64_t below = bits & ((uint64_t{1} << bit) - 1);
+    return values_[presence_.WordRank(word) +
+                   static_cast<size_t>(__builtin_popcountll(below))];
+  }
+
+  /// Rows per block of Gather's two-pass pipeline.
+  static constexpr size_t kGatherBlock = 256;
+
+  /// Reads the values of `n` records in one block-wise sweep: row i is
+  /// record `records[i] - base` of this column (`base` rebases global ids
+  /// onto a segment). Writes its value to out[i], or NaN when it is NULL,
+  /// and its presence to present[i] (1 = non-NULL) unless `present` is
+  /// null. A stored NaN is present: callers that must tell it from NULL
+  /// (the aggregate fold) read `present`, never the value.
+  ///
+  /// Each block of kGatherBlock rows runs two passes. Pass 1 takes every
+  /// row's presence and rank from one load of its presence word plus the
+  /// rank directory; pass 2 loads the packed values by those ranks. The
+  /// loads within a pass are independent, so a block's cache misses
+  /// overlap. An absent row never reads the value array.
+  ///
+  /// Requires sealed() and every records[i] - base < presence().size().
+  /// Ascending `records` (a match list) walk memory forward; any order is
+  /// correct.
+  void Gather(const uint64_t* records, size_t n, uint64_t base, double* out,
+              uint8_t* present) const;
 
   /// Packed value by rank (for scans that already know the rank).
   double ValueAtRank(size_t rank) const { return values_[rank]; }

@@ -65,18 +65,9 @@ std::string RequestContext::ToJson(uint64_t snapshot_epoch) const {
   return w.str();
 }
 
-void RecordQueueWait(RequestContext* ctx, uint64_t enqueued_us,
-                     uint64_t dequeued_us) {
-  const uint64_t wait =
-      dequeued_us >= enqueued_us ? dequeued_us - enqueued_us : 0;
+void RecordQueueWait(uint64_t wait_us) {
   if (MetricsEnabled()) {
-    ServerPhaseHistogram(ServerPhase::kQueueWait).Record(wait);
-  }
-  if (ctx != nullptr) {
-    // Queue wait precedes the request's MarkStart; Trace::Add clamps the
-    // pre-origin start to 0, putting the wait at the head of the timeline.
-    ctx->trace().Add(ServerPhaseName(ServerPhase::kQueueWait), enqueued_us,
-                     wait);
+    ServerPhaseHistogram(ServerPhase::kQueueWait).Record(wait_us);
   }
 }
 

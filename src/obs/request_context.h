@@ -59,9 +59,16 @@ class RequestContext {
 
   /// Re-anchors the request start time and discards any previously
   /// recorded events. Call at the moment the request's first byte arrives.
-  void MarkStart() {
-    start_us_ = NowMicros();
-    trace_ = std::make_unique<Trace>();
+  /// `queued_us`, the time the request already spent in the accept queue,
+  /// backdates the start by that much and becomes the trace's first span,
+  /// so the wait ends where decode begins and counts in the total.
+  void MarkStart(uint64_t queued_us = 0) {
+    start_us_ = NowMicros() - queued_us;
+    trace_ = std::make_unique<Trace>(start_us_);
+    if (queued_us > 0) {
+      trace_->Add(ServerPhaseName(ServerPhase::kQueueWait), start_us_,
+                  queued_us);
+    }
     request_id_ = 0;
     trace_requested_ = false;
   }
@@ -120,10 +127,9 @@ class ServerSpan {
   Span span_;
 };
 
-/// Records an already-measured queue-wait interval (the accept queue is
-/// timed across threads, so no RAII scope exists): feeds the queue_wait
-/// histogram and, when `ctx` is non-null, adds the event to its trace.
-void RecordQueueWait(RequestContext* ctx, uint64_t enqueued_us,
-                     uint64_t dequeued_us);
+/// Records an already-measured queue-wait interval in the queue_wait
+/// histogram (the accept queue is timed across threads, so no RAII scope
+/// exists). The request's trace gets the span from MarkStart.
+void RecordQueueWait(uint64_t wait_us);
 
 }  // namespace colgraph::obs

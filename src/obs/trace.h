@@ -62,6 +62,8 @@ struct TraceEvent {
 class Trace {
  public:
   Trace() : origin_us_(NowMicros()) {}
+  /// A trace whose time origin is `origin_us` (NowMicros clock).
+  explicit Trace(uint64_t origin_us) : origin_us_(origin_us) {}
 
   Trace(const Trace&) = delete;
   Trace& operator=(const Trace&) = delete;

@@ -23,43 +23,108 @@ constexpr size_t kCancelCheckStride = 4096;
 
 }  // namespace
 
-std::vector<QueryEngine::TailFold> QueryEngine::TailFoldColumns(
-    const std::vector<EdgeId>& elements) const {
-  std::vector<TailFold> out;
+std::vector<QueryEngine::FoldSegment> QueryEngine::FoldSegments(
+    const PathPlan& plan, const std::vector<EdgeId>& elements,
+    std::vector<uint32_t>* path_views_out) const {
+  std::vector<FoldSegment> out;
+  out.push_back({0, relation_->num_records(), {}});
+  // The primary's plan columns, fetched once each; accounting counts one
+  // measure-column fetch per segment — the cost reduction the views exist
+  // to provide. Skipped when an element exists only in tail datasets: no
+  // primary record can match the path then, so the primary columns (which
+  // do not extend that far) are never consulted.
+  const bool primary_covers_path =
+      !HasTails() ||
+      std::all_of(elements.begin(), elements.end(), [&](EdgeId e) {
+        return e < relation_->num_edge_columns();
+      });
+  if (primary_covers_path) {
+    out.front().columns.reserve(plan.segments.size());
+    for (const PathSegment& seg : plan.segments) {
+      const MeasureColumn& col =
+          seg.is_view ? relation_->FetchAggregateView(seg.agg_view_column)
+                      : relation_->FetchMeasureColumn(seg.atom);
+      out.front().columns.push_back({&col, seg.is_view, seg.num_elements});
+      if (seg.is_view && path_views_out != nullptr) {
+        path_views_out->push_back(static_cast<uint32_t>(seg.agg_view_column));
+      }
+    }
+  }
   if (!HasTails()) return out;
-  out.reserve(tails_->size());
   for (const RelationSegment& seg : *tails_) {
-    TailFold fold;
-    fold.base = seg.base;
-    fold.num = seg.relation->num_records();
+    // Tail records fold atomically, element by element in path order —
+    // views cover the primary store only (DESIGN.md §14).
+    FoldSegment fold{seg.base, seg.relation->num_records(), {}};
     fold.columns.reserve(elements.size());
     for (const EdgeId e : elements) {
-      fold.columns.push_back(e < seg.relation->num_edge_columns()
-                                 ? &seg.relation->FetchMeasureColumn(e)
-                                 : nullptr);
+      fold.columns.push_back(
+          {e < seg.relation->num_edge_columns()
+               ? &seg.relation->FetchMeasureColumn(e)
+               : nullptr,
+           false, 1});
     }
     out.push_back(std::move(fold));
   }
   return out;
 }
 
-bool QueryEngine::FoldTail(const std::vector<TailFold>& tails, AggFn fn,
-                           RecordId r, double* out) const {
-  for (const TailFold& t : tails) {
-    if (r < t.base || r >= t.base + t.num) continue;
-    // Tail records fold atomically, element by element in path order —
-    // views cover the primary store only (DESIGN.md §14).
-    AggAccumulator acc(fn);
-    for (const MeasureColumn* col : t.columns) {
-      if (col == nullptr) continue;
-      const auto v = col->Get(r - t.base);
-      if (v.has_value()) acc.Add(*v);
-    }
-    relation_->stats().values_fetched += t.columns.size();
-    *out = acc.Result();
-    return true;
+Status QueryEngine::FoldPath(const std::vector<RecordId>& records,
+                             const std::vector<FoldSegment>& segments,
+                             AggFn fn, const CancellationToken* cancel,
+                             size_t* folded,
+                             std::vector<double>* values) const {
+  constexpr size_t kBlock = MeasureColumn::kGatherBlock;
+  size_t max_columns = 0;
+  for (const FoldSegment& seg : segments) {
+    max_columns = std::max(max_columns, seg.columns.size());
   }
-  return false;
+  // One block of gathered values and presence flags per column.
+  std::vector<double> block_values(max_columns * kBlock);
+  std::vector<uint8_t> block_present(max_columns * kBlock);
+  values->reserve(values->size() + records.size());
+  const RecordId* rows = records.data();
+  size_t row = 0;
+  for (const FoldSegment& seg : segments) {
+    // The match list is sorted and segments are contiguous id ranges, so
+    // each segment owns one run of rows.
+    const size_t end = static_cast<size_t>(
+        std::lower_bound(rows + row, rows + records.size(),
+                         seg.base + seg.num) -
+        rows);
+    for (size_t begin = row; begin < end; begin += kBlock) {
+      const size_t len = std::min(kBlock, end - begin);
+      for (size_t c = 0; c < seg.columns.size(); ++c) {
+        if (seg.columns[c].column == nullptr) continue;
+        seg.columns[c].column->Gather(rows + begin, len, seg.base,
+                                      &block_values[c * kBlock],
+                                      &block_present[c * kBlock]);
+      }
+      // Fold row by row in path order. Presence, not NaN, marks NULL: a
+      // stored NaN measure is folded like any other value.
+      for (size_t i = 0; i < len; ++i) {
+        if (++*folded % kCancelCheckStride == 0) {
+          COLGRAPH_RETURN_NOT_OK(CheckCancellation(cancel));
+        }
+        AggAccumulator acc(fn);
+        for (size_t c = 0; c < seg.columns.size(); ++c) {
+          const FoldColumn& col = seg.columns[c];
+          if (col.column == nullptr || block_present[c * kBlock + i] == 0) {
+            continue;  // record lacks this optional element
+          }
+          const double v = block_values[c * kBlock + i];
+          if (col.is_view) {
+            acc.Merge(v, col.num_elements);
+          } else {
+            acc.Add(v);
+          }
+        }
+        values->push_back(acc.Result());
+      }
+      relation_->stats().values_fetched += len * seg.columns.size();
+    }
+    row = end;
+  }
+  return Status::OK();
 }
 
 StatusOr<PathAggResult> QueryEngine::AggregateAlongPath(
@@ -91,52 +156,14 @@ StatusOr<PathAggResult> QueryEngine::AggregateAlongPath(
   const ViewCatalog* views = options.use_views ? views_ : nullptr;
   const PathPlan plan = PlanPathAggregation(elements, fn, views);
 
-  // An element only tail datasets know means no primary record matches the
-  // path (the primary has no column for it), so the primary's segment
-  // columns are never consulted — and must not be fetched out of range.
-  const bool primary_covers_path =
-      !HasTails() ||
-      std::all_of(elements.begin(), elements.end(), [&](EdgeId e) {
-        return e < relation_->num_edge_columns();
-      });
-  std::vector<std::pair<const MeasureColumn*, size_t>> segment_columns;
-  if (primary_covers_path) {
-    segment_columns.reserve(plan.segments.size());
-    for (const PathSegment& seg : plan.segments) {
-      const MeasureColumn& col =
-          seg.is_view ? relation_->FetchAggregateView(seg.agg_view_column)
-                      : relation_->FetchMeasureColumn(seg.atom);
-      segment_columns.emplace_back(&col, seg.is_view ? seg.num_elements : 0);
-    }
-  }
-  const std::vector<TailFold> tail_folds = TailFoldColumns(elements);
+  const std::vector<FoldSegment> segments =
+      FoldSegments(plan, elements, /*path_views_out=*/nullptr);
 
   const obs::Span agg_span(obs::QueryPhase::kAggregate, options.trace);
   std::vector<double> values;
-  values.reserve(result.records.size());
   size_t folded = 0;
-  for (RecordId r : result.records) {
-    if (++folded % kCancelCheckStride == 0) {
-      COLGRAPH_RETURN_NOT_OK(CheckCancellation(options.cancel));
-    }
-    double tail_value = 0;
-    if (FoldTail(tail_folds, fn, r, &tail_value)) {
-      values.push_back(tail_value);
-      continue;
-    }
-    AggAccumulator acc(fn);
-    for (const auto& [col, view_elements] : segment_columns) {
-      const auto v = col->Get(r);
-      if (!v.has_value()) continue;
-      if (view_elements > 0) {
-        acc.Merge(*v, view_elements);
-      } else {
-        acc.Add(*v);
-      }
-    }
-    relation_->stats().values_fetched += segment_columns.size();
-    values.push_back(acc.Result());
-  }
+  COLGRAPH_RETURN_NOT_OK(FoldPath(result.records, segments, fn,
+                                  options.cancel, &folded, &values));
   result.values.push_back(std::move(values));
   return result;
 }
@@ -220,62 +247,15 @@ StatusOr<PathAggResult> QueryEngine::RunAggregateQueryImpl(
 
     const PathPlan plan = PlanPathAggregation(elements, stored_fn, views);
 
-    // Resolve the plan's columns once; accounting counts one measure-column
-    // fetch per segment — the cost reduction the views exist to provide.
-    // Skipped when an element exists only in tail datasets: no primary
-    // record can match the query then, so the primary columns (which do
-    // not extend that far) are never consulted.
-    struct SegmentColumn {
-      const MeasureColumn* column;
-      bool is_view;
-      size_t num_elements;
-    };
-    const bool primary_covers_path =
-        !HasTails() ||
-        std::all_of(elements.begin(), elements.end(), [&](EdgeId e) {
-          return e < relation_->num_edge_columns();
-        });
-    std::vector<SegmentColumn> segment_columns;
-    if (primary_covers_path) {
-      segment_columns.reserve(plan.segments.size());
-      for (const PathSegment& seg : plan.segments) {
-        const MeasureColumn& col =
-            seg.is_view ? relation_->FetchAggregateView(seg.agg_view_column)
-                        : relation_->FetchMeasureColumn(seg.atom);
-        segment_columns.push_back({&col, seg.is_view, seg.num_elements});
-        if (seg.is_view && path_views_out != nullptr) {
-          path_views_out->push_back(
-              static_cast<uint32_t>(seg.agg_view_column));
-        }
-      }
-      if (!plan.segments.empty()) ++relation_->stats().partitions_touched;
+    const std::vector<FoldSegment> segments =
+        FoldSegments(plan, elements, path_views_out);
+    if (!segments.front().columns.empty()) {
+      ++relation_->stats().partitions_touched;
     }
-    const std::vector<TailFold> tail_folds = TailFoldColumns(elements);
 
     std::vector<double> values;
-    values.reserve(result.records.size());
-    for (RecordId r : result.records) {
-      if (++folded % kCancelCheckStride == 0) {
-        COLGRAPH_RETURN_NOT_OK(CheckCancellation(options.cancel));
-      }
-      double tail_value = 0;
-      if (FoldTail(tail_folds, fn, r, &tail_value)) {
-        values.push_back(tail_value);
-        continue;
-      }
-      AggAccumulator acc(fn);
-      for (const SegmentColumn& seg : segment_columns) {
-        const auto v = seg.column->Get(r);
-        if (!v.has_value()) continue;  // record lacks this optional element
-        if (seg.is_view) {
-          acc.Merge(*v, seg.num_elements);
-        } else {
-          acc.Add(*v);
-        }
-      }
-      relation_->stats().values_fetched += segment_columns.size();
-      values.push_back(acc.Result());
-    }
+    COLGRAPH_RETURN_NOT_OK(FoldPath(result.records, segments, fn,
+                                    options.cancel, &folded, &values));
     result.values.push_back(std::move(values));
   }
   return result;

@@ -213,21 +213,38 @@ class QueryEngine {
   Bitmap MatchIdsInTail(const MasterRelation& tail,
                         const std::vector<EdgeId>& ids) const;
 
-  /// One tail's fold inputs for a path: `columns[i]` is the tail's column
-  /// for the path's i-th measurable element (nullptr when the tail never
-  /// saw that element).
-  struct TailFold {
+  /// One column of a path's fold: an atomic element measure, or an
+  /// aggregate view folding `num_elements` elements. A null column (an
+  /// element a tail never saw) contributes nothing.
+  struct FoldColumn {
+    const MeasureColumn* column = nullptr;
+    bool is_view = false;
+    size_t num_elements = 1;
+  };
+  /// The fold inputs of the records with global ids [base, base + num):
+  /// the primary relation's plan columns, or one tail's atomic columns.
+  struct FoldSegment {
     size_t base = 0;
     size_t num = 0;
-    std::vector<const MeasureColumn*> columns;
+    std::vector<FoldColumn> columns;
   };
-  std::vector<TailFold> TailFoldColumns(
-      const std::vector<EdgeId>& elements) const;
-  /// If global record `r` lives in a tail, folds `fn` over the tail's
-  /// atomic element columns into *out and returns true; false means `r`
-  /// belongs to the primary relation.
-  bool FoldTail(const std::vector<TailFold>& tails, AggFn fn, RecordId r,
-                double* out) const;
+  /// A path's fold segments: the primary with `plan`'s columns (none when
+  /// an element of `elements` exists only in tails), then every tail with
+  /// its columns for the path's measurable `elements`. Appends the plan's
+  /// aggregate-view indexes to *path_views_out when non-null.
+  std::vector<FoldSegment> FoldSegments(
+      const PathPlan& plan, const std::vector<EdgeId>& elements,
+      std::vector<uint32_t>* path_views_out) const;
+  /// Appends to *values the fold of `fn` along one path for every record
+  /// of the sorted `records`: each segment's columns are gathered a block
+  /// of rows at a time, then folded row by row in column order. Polls
+  /// `cancel` every kCancelCheckStride rows, counted across calls in
+  /// *folded.
+  [[nodiscard]] Status FoldPath(const std::vector<RecordId>& records,
+                                const std::vector<FoldSegment>& segments,
+                                AggFn fn, const CancellationToken* cancel,
+                                size_t* folded,
+                                std::vector<double>* values) const;
 
   const Bitmap& FetchSource(const BitmapSource& source) const;
   /// A fetched source under both encodings: `plain` is always valid;

@@ -304,9 +304,9 @@ void Daemon::AcceptLoop() {
       // The accept queue is timed across threads, so the wait is measured
       // here and carried into the first request's trace by ReadRequest.
       const uint64_t dequeued_us = obs::NowMicros();
-      obs::RecordQueueWait(nullptr, enqueued_us, dequeued_us);
       const uint64_t wait_us =
           dequeued_us >= enqueued_us ? dequeued_us - enqueued_us : 0;
+      obs::RecordQueueWait(wait_us);
       HandleConnection(std::move(*socket), wait_us);
     });
   }
@@ -329,14 +329,11 @@ Status Daemon::ReadRequest(UnixSocket* socket, Request* request,
   }
 
   // The request begins now: re-anchor the context so keep-alive idle time
-  // is excluded, then let the first request on the connection absorb the
-  // accept-queue wait (already counted in the histogram by AcceptLoop).
-  ctx->MarkStart();
-  if (*pending_queue_wait_us > 0) {
-    ctx->trace().Add(obs::ServerPhaseName(obs::ServerPhase::kQueueWait), 0,
-                     *pending_queue_wait_us);
-    *pending_queue_wait_us = 0;
-  }
+  // is excluded. The first request on the connection starts earlier, at
+  // enqueue: its accept-queue wait (already counted in the histogram by
+  // AcceptLoop) is its first span and ends where decode begins.
+  ctx->MarkStart(*pending_queue_wait_us);
+  *pending_queue_wait_us = 0;
   const obs::ServerSpan decode_span(obs::ServerPhase::kDecode, ctx);
 
   // Framed phase: once bytes start flowing the peer must complete the

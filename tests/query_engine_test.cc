@@ -159,6 +159,18 @@ TEST_F(QueryEngineTest, FetchMeasuresNullsAsNaN) {
   EXPECT_EQ(table.columns[1][0], 8.0);
 }
 
+// FetchMeasures is public and takes any bitmap. One longer than the record
+// domain would send the gather past the presence words, so it is refused
+// at entry — in every build, not only where DCHECKs are compiled in.
+using QueryEngineDeathTest = QueryEngineTest;
+
+TEST_F(QueryEngineDeathTest, FetchMeasuresRejectsMatchesPastTheRecords) {
+  QueryEngine engine = Engine();
+  Bitmap matches(4096);
+  matches.Set(4000);
+  EXPECT_DEATH((void)engine.FetchMeasures(matches, {0, 1}), "Check failed");
+}
+
 // --- Vertical partitioning (Section 6.1 / Figure 5). ---
 
 TEST(PartitionedFetchTest, CrossPartitionJoinCountsAndAnswers) {

@@ -9,10 +9,14 @@
 // and epoch-consistent with the response the client actually saw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -44,7 +48,12 @@ class RequestTraceTest : public ::testing::Test {
     slow_log_path_ = testing::TempDir() + "trace_" +
                      std::to_string(::getpid()) + "_" +
                      std::to_string(instance_) + ".sqlog";
+    StartDaemon(/*num_workers=*/8);
+  }
 
+  // (Re)starts the daemon on the fixture's socket and slow-query log.
+  void StartDaemon(size_t num_workers) {
+    daemon_.reset();
     auto initial = std::make_shared<ColGraphEngine>();
     ASSERT_TRUE(initial->AddWalk({1, 2, 3}, {5, 6}).ok());
     ASSERT_TRUE(initial->AddWalk({2, 3, 4}, {7, 8}).ok());
@@ -52,7 +61,7 @@ class RequestTraceTest : public ::testing::Test {
 
     DaemonOptions options;
     options.socket_path = socket_path_;
-    options.num_workers = 8;
+    options.num_workers = num_workers;
     // Threshold 0: every request is "slow", so each one must land in the
     // log — the test can key records by request id exhaustively.
     options.slow_query_log.path = slow_log_path_;
@@ -127,6 +136,59 @@ TEST_F(RequestTraceTest, SlowRequestIsAttributableEndToEnd) {
   EXPECT_TRUE(HasSpan(*mine, "write"));
   // ...joined with engine phases in the same record.
   EXPECT_TRUE(HasSpan(*mine, "bitmap_and"));
+}
+
+// The server phases of one request are siblings on one timeline: none may
+// overlap another. A connection that waited in the accept queue starts its
+// first request with that wait, which must end where decode begins. A
+// one-worker daemon held by one open connection makes the next one queue.
+TEST_F(RequestTraceTest, QueuedRequestServerSpansDoNotOverlap) {
+  StartDaemon(/*num_workers=*/1);
+  Client holder = MakeClient(1);
+  ASSERT_TRUE(holder.Query("[1,2]").ok());  // the worker now serves it
+
+  Client queued = MakeClient(2);
+  StatusOr<Response> response = Status::Internal("not run");
+  uint64_t id = 0;
+  std::thread waiter([&] {
+    response = queued.QueryTraced("[1,2] AND [2,3]");
+    id = queued.last_request_id();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  holder.Disconnect();  // frees the worker for the queued connection
+  waiter.join();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_TRUE(response->ok()) << response->body;
+
+  ASSERT_TRUE(daemon_->Drain().ok());
+  const auto records = obs::ReadSlowQueryLog(slow_log_path_);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  const obs::SlowQueryRecord* mine = nullptr;
+  for (const obs::SlowQueryRecord& record : *records) {
+    if (record.request_id == id) mine = &record;
+  }
+  ASSERT_NE(mine, nullptr) << "no slow-query record for request " << id;
+
+  const std::set<std::string> server_phases = {
+      "queue_wait", "admission", "decode", "evaluate", "encode", "write"};
+  std::vector<obs::SlowQuerySpan> spans;
+  for (const obs::SlowQuerySpan& span : mine->spans) {
+    if (server_phases.count(span.name) != 0) spans.push_back(span);
+  }
+  std::sort(spans.begin(), spans.end(),
+            [](const obs::SlowQuerySpan& a, const obs::SlowQuerySpan& b) {
+              return a.start_us < b.start_us;
+            });
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans.front().name, "queue_wait");
+  EXPECT_GT(spans.front().duration_us, 0u);
+  for (size_t i = 1; i < spans.size(); ++i) {
+    EXPECT_GE(spans[i].start_us,
+              spans[i - 1].start_us + spans[i - 1].duration_us)
+        << spans[i].name << " overlaps " << spans[i - 1].name;
+  }
+  // The request's total covers its queue wait.
+  EXPECT_GE(mine->total_us, spans.front().duration_us);
 }
 
 TEST_F(RequestTraceTest, UntracedRequestsCarryNoTraceExtension) {

@@ -123,6 +123,29 @@ def compare(baseline, fresh, opts):
     return regressions, notes
 
 
+FETCH_HISTOGRAM = "query.phase.fetch_us"
+
+
+def fetch_report(baseline, fresh):
+    """One line comparing the measure-fetch figures (mean us per fetch and
+    fetch calls, plus fetch_stats.values_fetched), reported whatever the
+    gate thresholds skip; None when neither dump fetched. The two are not
+    divided into ns per value: a bench may reset fetch_stats between its
+    sweeps (fig6 does, per budget) while the histogram spans the run."""
+    figures = []
+    for dump in (baseline, fresh):
+        hist = histograms(dump).get(FETCH_HISTOGRAM)
+        values = flatten_counters(dump).get("fetch_stats.values_fetched", 0)
+        if hist and hist.get("count"):
+            figures.append(
+                f"{mean_us(hist):.1f}us x {hist['count']} ({values} values)")
+        else:
+            figures.append(None)
+    if figures == [None, None]:
+        return None
+    return f"fetch: {figures[0] or 'none'} -> {figures[1] or 'none'}"
+
+
 def make_dump(mean_by_hist, counters, count=100):
     """Builds a CI-format dump for the self-test."""
     return {
@@ -178,6 +201,15 @@ def self_test(opts):
     assert regressions == [], f"improvement flagged as regression: {regressions}"
     assert notes, "improvement produced no note"
 
+    line = fetch_report(
+        make_dump({FETCH_HISTOGRAM: 20.0}, {"values_fetched": 4000}),
+        make_dump({FETCH_HISTOGRAM: 10.0}, {"values_fetched": 4000}),
+    )
+    assert line == (
+        "fetch: 20.0us x 100 (4000 values) -> 10.0us x 100 (4000 values)"
+    ), f"fetch report: {line}"
+    assert fetch_report(base, base) is None, "fetch report without a fetch"
+
     noisy = make_dump({"tiny_us": 5.0}, {})
     noisy_double = make_dump({"tiny_us": 10.0}, {})
     regressions, _ = compare(noisy, noisy_double, opts)
@@ -212,6 +244,9 @@ def main():
         fresh = json.load(f)
 
     regressions, notes = compare(baseline, fresh, opts)
+    fetch_line = fetch_report(baseline, fresh)
+    if fetch_line is not None:
+        print(fetch_line)
     for line in notes:
         print(f"note: {line}")
     for line in regressions:
