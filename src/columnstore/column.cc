@@ -132,4 +132,24 @@ void MeasureColumn::Gather(const uint64_t* records, size_t n, uint64_t base,
   }
 }
 
+void MeasureColumnAppender::Append(const MeasureColumn* col,
+                                   size_t num_records) {
+  if (col != nullptr) {
+    presence_.OrAt(col->presence().bits(), base_);
+    for (size_t rank = 0; rank < col->num_values(); ++rank) {
+      values_.push_back(col->ValueAtRank(rank));
+    }
+  }
+  base_ += num_records;
+}
+
+StatusOr<MeasureColumn> MeasureColumnAppender::Finish(bool hybrid_bitmaps) && {
+  COLGRAPH_CHECK_EQ(base_, presence_.size());
+  COLGRAPH_ASSIGN_OR_RETURN(
+      MeasureColumn merged,
+      MeasureColumn::FromParts(std::move(presence_), std::move(values_)));
+  merged.ChooseEncoding(hybrid_bitmaps);
+  return merged;
+}
+
 }  // namespace colgraph

@@ -180,4 +180,28 @@ class MeasureColumn {
   uint64_t min_next_record_ = 0;
 };
 
+/// \brief Concatenates measure columns along the record axis: the one
+/// column merge of compaction (ColGraphEngine::Compact,
+/// DatasetStore::CompactAll). Fed one input column at a time, in record
+/// order: each input's presence bits land at the running base and its
+/// values append by rank, which stays record order because bases ascend.
+class MeasureColumnAppender {
+ public:
+  explicit MeasureColumnAppender(size_t num_records)
+      : presence_(num_records) {}
+
+  /// Appends the next `num_records` records: `col`'s, or all NULL when
+  /// `col` is null (an input that never grew this column).
+  void Append(const MeasureColumn* col, size_t num_records);
+
+  /// The merged column, sealed, with its encoding chosen. Requires the
+  /// appended records to add up to the constructor's count.
+  StatusOr<MeasureColumn> Finish(bool hybrid_bitmaps) &&;
+
+ private:
+  Bitmap presence_;
+  std::vector<double> values_;
+  size_t base_ = 0;
+};
+
 }  // namespace colgraph

@@ -231,23 +231,19 @@ Status DatasetStore::CompactAll() {
     // Simulated crash mid-merge: published datasets and the manifest are
     // untouched; the next Open() sweeps the lock (and any stray file).
     COLGRAPH_FAILPOINT("compact:crash");
-    Bitmap presence(static_cast<size_t>(total_records));
-    std::vector<double> values;
-    size_t base = 0;
+    MeasureColumnAppender appender(static_cast<size_t>(total_records));
     for (const MappedRelationFile& input : inputs) {
+      const size_t num_records = static_cast<size_t>(input.num_records());
       if (c < input.num_columns()) {
         COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn col, input.ReadColumn(c));
-        presence.OrAt(col.presence().bits(), base);
-        for (size_t rank = 0; rank < col.num_values(); ++rank) {
-          values.push_back(col.ValueAtRank(rank));
-        }
+        appender.Append(&col, num_records);
+      } else {
+        appender.Append(nullptr, num_records);
       }
-      base += static_cast<size_t>(input.num_records());
     }
-    MeasureColumn merged;
     COLGRAPH_ASSIGN_OR_RETURN(
-        merged, MeasureColumn::FromParts(std::move(presence), std::move(values)));
-    merged.ChooseEncoding(options_.relation.hybrid_bitmaps);
+        MeasureColumn merged,
+        std::move(appender).Finish(options_.relation.hybrid_bitmaps));
     io::Writer enc(4);
     enc.WriteMeasureColumn(merged);
     payloads.push_back(enc.TakePayload());

@@ -53,17 +53,19 @@ void MasterRelation::EnsureColumns(size_t n) {
   if (columns_.size() < n) columns_.resize(n);
 }
 
-const Bitmap& MasterRelation::FetchEdgeBitmap(EdgeId id) const {
+const Bitmap& MasterRelation::FetchEdgeBitmap(EdgeId id,
+                                              FetchStats* charge) const {
   COLGRAPH_CHECK(sealed_);
   COLGRAPH_CHECK_LT(id, columns_.size());
-  ++stats_.bitmap_columns_fetched;
+  ++Charged(charge).bitmap_columns_fetched;
   return columns_[id].presence().bits();
 }
 
-const MeasureColumn& MasterRelation::FetchMeasureColumn(EdgeId id) const {
+const MeasureColumn& MasterRelation::FetchMeasureColumn(
+    EdgeId id, FetchStats* charge) const {
   COLGRAPH_CHECK(sealed_);
   COLGRAPH_CHECK_LT(id, columns_.size());
-  ++stats_.measure_columns_fetched;
+  ++Charged(charge).measure_columns_fetched;
   return columns_[id];
 }
 
@@ -116,9 +118,10 @@ void MasterRelation::ReplaceAggregateView(size_t view_index,
   agg_views_[view_index] = std::move(column);
 }
 
-const Bitmap& MasterRelation::FetchGraphView(size_t view_index) const {
+const Bitmap& MasterRelation::FetchGraphView(size_t view_index,
+                                             FetchStats* charge) const {
   COLGRAPH_CHECK_LT(view_index, graph_views_.size());
-  ++stats_.bitmap_columns_fetched;
+  ++Charged(charge).bitmap_columns_fetched;
   return graph_views_[view_index].bits();
 }
 
@@ -131,16 +134,16 @@ size_t MasterRelation::AddAggregateView(MeasureColumn column) {
 }
 
 const MeasureColumn& MasterRelation::FetchAggregateView(
-    size_t view_index) const {
+    size_t view_index, FetchStats* charge) const {
   COLGRAPH_CHECK_LT(view_index, agg_views_.size());
-  ++stats_.measure_columns_fetched;
+  ++Charged(charge).measure_columns_fetched;
   return agg_views_[view_index];
 }
 
 const Bitmap& MasterRelation::FetchAggregateViewBitmap(
-    size_t view_index) const {
+    size_t view_index, FetchStats* charge) const {
   COLGRAPH_CHECK_LT(view_index, agg_views_.size());
-  ++stats_.bitmap_columns_fetched;
+  ++Charged(charge).bitmap_columns_fetched;
   return agg_views_[view_index].presence().bits();
 }
 

@@ -83,12 +83,15 @@ class MasterRelation {
   /// catalog avoids growth during ingest).
   void EnsureColumns(size_t n);
 
-  // --- Reads (sealed relation only). Accessors count fetches. ---
+  // --- Reads (sealed relation only). Accessors count fetches: in
+  // `charge` when given (a segmented store charges every segment's fetches
+  // to its segment 0, DESIGN.md §8), else in this relation's stats(). ---
 
   /// The bitmap column b_i of an edge.
-  const Bitmap& FetchEdgeBitmap(EdgeId id) const;
+  const Bitmap& FetchEdgeBitmap(EdgeId id, FetchStats* charge = nullptr) const;
   /// The measure column m_i of an edge.
-  const MeasureColumn& FetchMeasureColumn(EdgeId id) const;
+  const MeasureColumn& FetchMeasureColumn(EdgeId id,
+                                          FetchStats* charge = nullptr) const;
   /// Structure-only access that bypasses fetch accounting (used by
   /// materialization, which the paper performs offline "in a single pass").
   const MeasureColumn& PeekMeasureColumn(EdgeId id) const;
@@ -101,7 +104,8 @@ class MasterRelation {
   /// ingest).
   void ReplaceGraphView(size_t view_index, Bitmap bits);
   void ReplaceAggregateView(size_t view_index, MeasureColumn column);
-  const Bitmap& FetchGraphView(size_t view_index) const;
+  const Bitmap& FetchGraphView(size_t view_index,
+                               FetchStats* charge = nullptr) const;
   size_t num_graph_views() const { return graph_views_.size(); }
 
   /// Reconstructs a sealed relation from stored columns (persistence path).
@@ -111,10 +115,12 @@ class MasterRelation {
 
   /// Adds an aggregate graph view (mp, bp); returns its view index.
   size_t AddAggregateView(MeasureColumn column);
-  const MeasureColumn& FetchAggregateView(size_t view_index) const;
+  const MeasureColumn& FetchAggregateView(size_t view_index,
+                                          FetchStats* charge = nullptr) const;
   /// The bitmap half bp of an aggregate view, fetched alone (counted as a
   /// bitmap-column fetch; mp and bp are physically separate columns).
-  const Bitmap& FetchAggregateViewBitmap(size_t view_index) const;
+  const Bitmap& FetchAggregateViewBitmap(size_t view_index,
+                                         FetchStats* charge = nullptr) const;
   size_t num_aggregate_views() const { return agg_views_.size(); }
 
   /// Accounting-free view access (persistence / maintenance paths).
@@ -182,6 +188,10 @@ class MasterRelation {
   size_t DiskBytes() const;
 
  private:
+  FetchStats& Charged(FetchStats* charge) const {
+    return charge != nullptr ? *charge : stats_;
+  }
+
   MasterRelationOptions options_;
   size_t num_records_ = 0;
   bool sealed_ = false;

@@ -15,7 +15,7 @@ namespace colgraph {
 
 ColGraphEngine::ColGraphEngine(EngineOptions options)
     : options_(std::move(options)),
-      relation_(std::make_shared<MasterRelation>(options_.relation)) {
+      segments_{{std::make_shared<MasterRelation>(options_.relation), 0}} {
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
@@ -34,31 +34,22 @@ ColGraphEngine::ColGraphEngine(EngineOptions options)
 }
 
 ColGraphEngine::ColGraphEngine(const ColGraphEngine& other)
-    : options_(other.options_),
-      catalog_(other.catalog_),
-      relation_(std::make_shared<MasterRelation>(*other.relation_)),
-      tails_(other.tails_),  // tails are immutable: sharing IS copying
-      views_(other.views_),
-      query_log_(other.query_log_),
-      append_watermark_(other.append_watermark_) {
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  RebuildSegments();
+    : ColGraphEngine(other, ShareTag{}) {
+  // Tails are immutable: sharing them IS copying. The primary is cloned.
+  segments_.front().relation =
+      std::make_shared<MasterRelation>(other.relation());
 }
 
 ColGraphEngine::ColGraphEngine(const ColGraphEngine& other, ShareTag)
     : options_(other.options_),
       catalog_(other.catalog_),
-      relation_(other.relation_),  // shared; OwnedRelation() clones on write
-      tails_(other.tails_),
+      segments_(other.segments_),  // shared; OwnedRelation() clones on write
       views_(other.views_),
       query_log_(other.query_log_),
       append_watermark_(other.append_watermark_) {
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
-  RebuildSegments();
 }
 
 ColGraphEngine ColGraphEngine::SharedCopy() const {
@@ -66,19 +57,7 @@ ColGraphEngine ColGraphEngine::SharedCopy() const {
 }
 
 ColGraphEngine& ColGraphEngine::operator=(const ColGraphEngine& other) {
-  if (this == &other) return *this;
-  options_ = other.options_;
-  catalog_ = other.catalog_;
-  relation_ = std::make_shared<MasterRelation>(*other.relation_);
-  tails_ = other.tails_;
-  views_ = other.views_;
-  query_log_ = other.query_log_;
-  append_watermark_ = other.append_watermark_;
-  pool_.reset();
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  RebuildSegments();
+  if (this != &other) *this = ColGraphEngine(other);
   return *this;
 }
 
@@ -87,26 +66,13 @@ MasterRelation& ColGraphEngine::OwnedRelation() {
   // snapshot) still reads this relation; clone before the first in-place
   // write. Writer-side races are the caller's to exclude (the daemon holds
   // its writer mutex); readers only ever touch fully-built relations.
-  if (relation_.use_count() > 1) {
-    relation_ = std::make_shared<MasterRelation>(*relation_);
-    RebuildSegments();
+  std::shared_ptr<const MasterRelation>& primary = segments_.front().relation;
+  if (primary.use_count() > 1) {
+    primary = std::make_shared<MasterRelation>(*primary);
   }
-  return *relation_;
-}
-
-void ColGraphEngine::RebuildSegments() {
-  segments_.clear();
-  size_t base = relation_->num_records();
-  for (const auto& tail : tails_) {
-    segments_.push_back(RelationSegment{tail.get(), base});
-    base += tail->num_records();
-  }
-}
-
-size_t ColGraphEngine::total_records() const {
-  size_t total = relation_->num_records();
-  for (const auto& tail : tails_) total += tail->num_records();
-  return total;
+  // Segment 0 is always allocated as a mutable MasterRelation (see
+  // segments_), and this engine is now its only owner.
+  return const_cast<MasterRelation&>(*primary);
 }
 
 ColGraphEngine ColGraphEngine::FromParts(EngineOptions options,
@@ -115,7 +81,8 @@ ColGraphEngine ColGraphEngine::FromParts(EngineOptions options,
                                          ViewCatalog views) {
   ColGraphEngine engine(options);
   engine.catalog_ = std::move(catalog);
-  engine.relation_ = std::make_shared<MasterRelation>(std::move(relation));
+  engine.segments_.front().relation =
+      std::make_shared<MasterRelation>(std::move(relation));
   engine.views_ = std::move(views);
   return engine;
 }
@@ -157,7 +124,7 @@ void ColGraphEngine::RegisterUniverse(const std::vector<Edge>& edges) {
 Status ColGraphEngine::Seal() { return OwnedRelation().Seal(); }
 
 Status ColGraphEngine::BeginAppend() {
-  if (!tails_.empty()) {
+  if (segments_.size() > 1) {
     // In-place growth would shift every tail's global id base out from
     // under published bitmaps; collapse the datasets first.
     return Status::InvalidArgument(
@@ -165,14 +132,15 @@ Status ColGraphEngine::BeginAppend() {
         "Compact() first");
   }
   COLGRAPH_RETURN_NOT_OK(OwnedRelation().Unseal());
-  append_watermark_ = relation_->num_records();
+  append_watermark_ = num_records();
   return Status::OK();
 }
 
 Status ColGraphEngine::FinishAppend() {
-  COLGRAPH_RETURN_NOT_OK(OwnedRelation().Seal());
+  MasterRelation& relation = OwnedRelation();
+  COLGRAPH_RETURN_NOT_OK(relation.Seal());
   // Delta maintenance: only the appended record range is re-aggregated.
-  return RefreshViewsIncremental(relation_.get(), views_, append_watermark_);
+  return RefreshViewsIncremental(&relation, views_, append_watermark_);
 }
 
 StatusOr<MasterRelation> ColGraphEngine::BuildTailRelation(
@@ -201,60 +169,48 @@ Status ColGraphEngine::AttachDataset(
   if (tail == nullptr) {
     return Status::InvalidArgument("cannot attach a null tail dataset");
   }
-  if (!tail->sealed() || !relation_->sealed()) {
+  if (!tail->sealed() || !relation().sealed()) {
     return Status::InvalidArgument(
         "tail datasets attach to sealed relations only");
   }
-  tails_.push_back(std::move(tail));
-  RebuildSegments();
+  const size_t base = total_records();
+  segments_.push_back({std::move(tail), base});
   return Status::OK();
 }
 
 Status ColGraphEngine::Compact() {
-  if (tails_.empty()) return Status::OK();
+  if (segments_.size() == 1) return Status::OK();
   const size_t total = total_records();
 
-  // The merged schema is the widest any dataset grew (columns a dataset
-  // never had contribute empty presence ranges).
-  size_t num_columns = relation_->num_edge_columns();
-  for (const auto& tail : tails_) {
-    num_columns = std::max(num_columns, tail->num_edge_columns());
+  // The merged schema is the widest any segment grew (columns a segment
+  // never had contribute NULL ranges).
+  size_t num_columns = 0;
+  for (const RelationSegment& seg : segments_) {
+    num_columns = std::max(num_columns, seg.relation->num_edge_columns());
   }
 
-  // Column-at-a-time merge, mirroring DatasetStore::CompactAll: each
-  // dataset's presence bits land at its global base, values concatenate in
-  // dataset order (presence ranks are preserved because bases ascend).
+  // Column-at-a-time merge, as DatasetStore::CompactAll does: records keep
+  // their global ids because segments are concatenated in order.
   std::vector<MeasureColumn> cols;
   cols.reserve(num_columns);
   for (size_t c = 0; c < num_columns; ++c) {
-    Bitmap presence(total);
-    std::vector<double> values;
-    const MasterRelation* primary = relation_.get();
-    size_t base = 0;
-    auto merge_from = [&](const MasterRelation& rel) {
-      if (c < rel.num_edge_columns()) {
-        const MeasureColumn& col = rel.PeekMeasureColumn(static_cast<EdgeId>(c));
-        presence.OrAt(col.presence().bits(), base);
-        for (size_t rank = 0; rank < col.num_values(); ++rank) {
-          values.push_back(col.ValueAtRank(rank));
-        }
-      }
-      base += rel.num_records();
-    };
-    merge_from(*primary);
-    for (const auto& tail : tails_) merge_from(*tail);
+    MeasureColumnAppender merged(total);
+    for (const RelationSegment& seg : segments_) {
+      const MasterRelation& rel = *seg.relation;
+      merged.Append(c < rel.num_edge_columns()
+                        ? &rel.PeekMeasureColumn(static_cast<EdgeId>(c))
+                        : nullptr,
+                    rel.num_records());
+    }
     COLGRAPH_ASSIGN_OR_RETURN(
-        MeasureColumn merged,
-        MeasureColumn::FromParts(std::move(presence), std::move(values)));
-    merged.ChooseEncoding(options_.relation.hybrid_bitmaps);
-    cols.push_back(std::move(merged));
+        MeasureColumn column,
+        std::move(merged).Finish(options_.relation.hybrid_bitmaps));
+    cols.push_back(std::move(column));
   }
   COLGRAPH_ASSIGN_OR_RETURN(
       MasterRelation merged,
       MasterRelation::FromColumns(total, std::move(cols), options_.relation));
-  relation_ = std::make_shared<MasterRelation>(std::move(merged));
-  tails_.clear();
-  RebuildSegments();
+  segments_ = {{std::make_shared<MasterRelation>(std::move(merged)), 0}};
 
   // Re-materialize every registered view over the merged record set: the
   // old view columns lived in the retired primary, and their bitmaps were
@@ -273,10 +229,10 @@ Status ColGraphEngine::Compact() {
   }
   ViewCatalog fresh;
   COLGRAPH_RETURN_NOT_OK(
-      MaterializeGraphViews(graph_defs, relation_.get(), &fresh, pool_.get())
+      MaterializeGraphViews(graph_defs, &OwnedRelation(), &fresh, pool_.get())
           .status());
   COLGRAPH_RETURN_NOT_OK(
-      MaterializeAggViews(agg_defs, relation_.get(), &fresh, pool_.get())
+      MaterializeAggViews(agg_defs, &OwnedRelation(), &fresh, pool_.get())
           .status());
   views_ = std::move(fresh);
   return Status::OK();
@@ -367,13 +323,13 @@ std::string ColGraphEngine::DumpMetricsJson() const {
   w.Key("engine");
   w.BeginObject();
   w.Key("num_records");
-  w.Uint(relation_->num_records());
+  w.Uint(num_records());
   w.Key("num_tail_datasets");
-  w.Uint(tails_.size());
+  w.Uint(segments_.size() - 1);
   w.Key("total_records");
   w.Uint(total_records());
   w.Key("num_edge_columns");
-  w.Uint(relation_->num_edge_columns());
+  w.Uint(relation().num_edge_columns());
   w.Key("num_graph_views");
   w.Uint(views_.num_graph_views());
   w.Key("num_agg_views");
@@ -383,7 +339,7 @@ std::string ColGraphEngine::DumpMetricsJson() const {
   w.EndObject();
   w.Key("fetch_stats");
   w.BeginObject();
-  const FetchStats& fs = relation_->stats();
+  const FetchStats& fs = stats();
   w.Key("bitmap_columns_fetched");
   w.Uint(fs.bitmap_columns_fetched);
   w.Key("measure_columns_fetched");

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <memory>
+#include <ranges>
+#include <span>
 #include <vector>
 
 #include "columnstore/master_relation.h"
@@ -125,10 +127,10 @@ class ColGraphEngine {
   [[nodiscard]] StatusOr<MasterRelation> BuildTailRelation(
       const std::vector<GraphRecord>& records);
 
-  /// Appends a sealed, immutable dataset behind the primary relation. Its
-  /// records take the next total_records() global ids; queries OR its
-  /// matches in and route fetches/folds to it. Both the primary and the
-  /// tail must be sealed.
+  /// Appends a sealed, immutable dataset as the next segment. Its records
+  /// take the next total_records() global ids; queries OR its matches in
+  /// and route fetches/folds to it. Both the primary and the tail must be
+  /// sealed.
   [[nodiscard]] Status AttachDataset(
       std::shared_ptr<const MasterRelation> tail);
 
@@ -137,12 +139,18 @@ class ColGraphEngine {
   /// the merged record set. No-op without tails.
   [[nodiscard]] Status Compact();
 
-  const std::vector<std::shared_ptr<const MasterRelation>>& tails() const {
-    return tails_;
+  /// The record store: segment 0 is the primary relation, the tail
+  /// datasets follow in ingest order (DESIGN.md §14).
+  const std::vector<RelationSegment>& segments() const { return segments_; }
+  /// The tail datasets (every segment after the primary), in ingest order,
+  /// as shared pointers.
+  auto tails() const {
+    return std::span<const RelationSegment>(segments_).subspan(1) |
+           std::views::transform(&RelationSegment::relation);
   }
-  /// Primary records plus every attached tail's records — the global
-  /// record-id domain queries run over.
-  size_t total_records() const;
+  /// Records in every segment — the global record-id domain queries run
+  /// over.
+  size_t total_records() const { return segments_.back().end(); }
 
   // --- Views (after Seal). ---
 
@@ -221,7 +229,8 @@ class ColGraphEngine {
 
   const EdgeCatalog& catalog() const { return catalog_; }
   EdgeCatalog& mutable_catalog() { return catalog_; }
-  const MasterRelation& relation() const { return *relation_; }
+  /// The primary relation: segment 0.
+  const MasterRelation& relation() const { return *segments_.front().relation; }
   /// Mutable relation access for external materialization drivers (the
   /// benchmark harnesses sweep view budgets against one ingested relation).
   /// Forces copy-on-write when the relation is shared (see SharedCopy).
@@ -231,8 +240,8 @@ class ColGraphEngine {
   /// A fresh evaluator bound to this engine's state. Cheap (five
   /// pointers); constructed on demand so the engine stays movable.
   QueryEngine query_engine() const {
-    return QueryEngine(relation_.get(), &catalog_, &views_, query_log_.get(),
-                       segments_.empty() ? nullptr : &segments_);
+    return QueryEngine(&relation(), &catalog_, &views_, query_log_.get(),
+                       &segments_);
   }
 
   /// The engine's query log; nullptr when capture is not configured.
@@ -249,9 +258,10 @@ class ColGraphEngine {
     if (query_log_ == nullptr) return Status::OK();
     return query_log_->Close();
   }
-  FetchStats& stats() const { return relation_->stats(); }
+  /// The counters every segment's fetches are charged to (segment 0's).
+  FetchStats& stats() const { return relation().stats(); }
   /// Records in the *primary* relation; total_records() adds the tails.
-  size_t num_records() const { return relation_->num_records(); }
+  size_t num_records() const { return relation().num_records(); }
   /// The engine's worker pool; nullptr when options().num_threads <= 1.
   ThreadPool* pool() const { return pool_.get(); }
 
@@ -261,22 +271,17 @@ class ColGraphEngine {
   ColGraphEngine(const ColGraphEngine& other, ShareTag);
 
   /// Copy-on-write funnel: every in-place relation mutator goes through
-  /// here, cloning the relation first if a SharedCopy still references it.
+  /// here, cloning the primary first if a SharedCopy still references it.
   MasterRelation& OwnedRelation();
-  /// Recomputes segments_ (tail base offsets) after relation_/tails_
-  /// change.
-  void RebuildSegments();
 
   EngineOptions options_;
   EdgeCatalog catalog_;
-  /// The primary relation. shared_ptr so SharedCopy can publish snapshots
-  /// without duplicating columns; never null; mutations go through
-  /// OwnedRelation() (copy-on-write).
-  std::shared_ptr<MasterRelation> relation_;
-  /// Immutable tail datasets behind the primary (DESIGN.md §14), in
-  /// ingest order. Shared freely between engine copies.
-  std::vector<std::shared_ptr<const MasterRelation>> tails_;
-  /// Derived: one RelationSegment per tail with its global id base.
+  /// The record store as a segment list (DESIGN.md §14), never empty.
+  /// Segment 0 is the primary relation: always allocated here as a
+  /// mutable MasterRelation, mutated only through OwnedRelation()
+  /// (copy-on-write). The immutable tail datasets follow in ingest order.
+  /// shared_ptrs so SharedCopy publishes snapshots without duplicating
+  /// columns; tails are shared freely between engine copies.
   std::vector<RelationSegment> segments_;
   ViewCatalog views_;
   /// Workers shared by every parallel section of this engine (batch

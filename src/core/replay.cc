@@ -35,9 +35,10 @@ StatusOr<ReplayReport> ReplayQueryLog(
     const ReplayOptions& options) {
   ReplayReport report;
 
-  // Bind the evaluator without the engine's query log: replay must read a
-  // workload, not append a second copy of it.
-  const QueryEngine qe(&engine.relation(), &engine.catalog(), &engine.views());
+  // Bind the evaluator to every segment but without the engine's query
+  // log: replay must read a workload, not append a second copy of it.
+  const QueryEngine qe(&engine.relation(), &engine.catalog(), &engine.views(),
+                       /*query_log=*/nullptr, &engine.segments());
   QueryOptions query_options;
   query_options.use_views = options.use_views;
   CancellationToken deadline;

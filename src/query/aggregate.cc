@@ -24,44 +24,36 @@ constexpr size_t kCancelCheckStride = 4096;
 }  // namespace
 
 std::vector<QueryEngine::FoldSegment> QueryEngine::FoldSegments(
-    const PathPlan& plan, const std::vector<EdgeId>& elements,
+    const std::vector<EdgeId>& elements, AggFn fn, const QueryOptions& options,
     std::vector<uint32_t>* path_views_out) const {
+  const std::span<const RelationSegment> segs = segments();
   std::vector<FoldSegment> out;
-  out.push_back({0, relation_->num_records(), {}});
-  // The primary's plan columns, fetched once each; accounting counts one
-  // measure-column fetch per segment — the cost reduction the views exist
-  // to provide. Skipped when an element exists only in tail datasets: no
-  // primary record can match the path then, so the primary columns (which
-  // do not extend that far) are never consulted.
-  const bool primary_covers_path =
-      !HasTails() ||
-      std::all_of(elements.begin(), elements.end(), [&](EdgeId e) {
-        return e < relation_->num_edge_columns();
-      });
-  if (primary_covers_path) {
-    out.front().columns.reserve(plan.segments.size());
+  out.reserve(segs.size());
+  for (size_t s = 0; s < segs.size(); ++s) {
+    const MasterRelation& rel = *segs[s].relation;
+    // Each plan column is fetched once; accounting counts one measure-column
+    // fetch per plan segment — the cost reduction the views exist to
+    // provide.
+    const PathPlan plan =
+        PlanPathAggregation(elements, fn, SegmentViews(s, options));
+    FoldSegment fold{segs[s].base, rel.num_records(), {}};
+    fold.columns.reserve(plan.segments.size());
     for (const PathSegment& seg : plan.segments) {
-      const MeasureColumn& col =
-          seg.is_view ? relation_->FetchAggregateView(seg.agg_view_column)
-                      : relation_->FetchMeasureColumn(seg.atom);
-      out.front().columns.push_back({&col, seg.is_view, seg.num_elements});
-      if (seg.is_view && path_views_out != nullptr) {
-        path_views_out->push_back(static_cast<uint32_t>(seg.agg_view_column));
+      if (seg.is_view) {
+        fold.columns.push_back(
+            {&rel.FetchAggregateView(seg.agg_view_column, &stats()), true,
+             seg.num_elements});
+        if (path_views_out != nullptr) {
+          path_views_out->push_back(static_cast<uint32_t>(seg.agg_view_column));
+        }
+      } else {
+        // An element the segment never grew is NULL for all its records.
+        fold.columns.push_back(
+            {seg.atom < rel.num_edge_columns()
+                 ? &rel.FetchMeasureColumn(seg.atom, &stats())
+                 : nullptr,
+             false, 1});
       }
-    }
-  }
-  if (!HasTails()) return out;
-  for (const RelationSegment& seg : *tails_) {
-    // Tail records fold atomically, element by element in path order —
-    // views cover the primary store only (DESIGN.md §14).
-    FoldSegment fold{seg.base, seg.relation->num_records(), {}};
-    fold.columns.reserve(elements.size());
-    for (const EdgeId e : elements) {
-      fold.columns.push_back(
-          {e < seg.relation->num_edge_columns()
-               ? &seg.relation->FetchMeasureColumn(e)
-               : nullptr,
-           false, 1});
     }
     out.push_back(std::move(fold));
   }
@@ -120,7 +112,7 @@ Status QueryEngine::FoldPath(const std::vector<RecordId>& records,
         }
         values->push_back(acc.Result());
       }
-      relation_->stats().values_fetched += len * seg.columns.size();
+      stats().values_fetched += len * seg.columns.size();
     }
     row = end;
   }
@@ -153,11 +145,8 @@ StatusOr<PathAggResult> QueryEngine::AggregateAlongPath(
       MatchIds(elements, options, /*consider_agg_bitmaps=*/true);
   matches.AppendSetBits(&result.records);
 
-  const ViewCatalog* views = options.use_views ? views_ : nullptr;
-  const PathPlan plan = PlanPathAggregation(elements, fn, views);
-
   const std::vector<FoldSegment> segments =
-      FoldSegments(plan, elements, /*path_views_out=*/nullptr);
+      FoldSegments(elements, fn, options, /*path_views_out=*/nullptr);
 
   const obs::Span agg_span(obs::QueryPhase::kAggregate, options.trace);
   std::vector<double> values;
@@ -229,9 +218,6 @@ StatusOr<PathAggResult> QueryEngine::RunAggregateQueryImpl(
 
   COLGRAPH_ASSIGN_OR_RETURN(result.paths, MaximalPaths(query.graph()));
 
-  const ViewCatalog* views = options.use_views ? views_ : nullptr;
-  const AggFn stored_fn = fn;  // plans match on the query's function
-
   const obs::Span agg_span(obs::QueryPhase::kAggregate, options.trace);
   size_t folded = 0;
   for (const Path& path : result.paths) {
@@ -245,12 +231,12 @@ StatusOr<PathAggResult> QueryEngine::RunAggregateQueryImpl(
       if (id.has_value()) elements.push_back(*id);
     }
 
-    const PathPlan plan = PlanPathAggregation(elements, stored_fn, views);
-
+    // Plans match on the query's function; every segment whose columns
+    // the fold reads is one partition visit.
     const std::vector<FoldSegment> segments =
-        FoldSegments(plan, elements, path_views_out);
-    if (!segments.front().columns.empty()) {
-      ++relation_->stats().partitions_touched;
+        FoldSegments(elements, fn, options, path_views_out);
+    for (const FoldSegment& seg : segments) {
+      if (!seg.columns.empty()) ++stats().partitions_touched;
     }
 
     std::vector<double> values;

@@ -12,6 +12,23 @@
 
 namespace colgraph {
 
+QueryEngine::QueryEngine(const MasterRelation* relation,
+                         const EdgeCatalog* catalog, const ViewCatalog* views,
+                         obs::QueryLog* query_log,
+                         const std::vector<RelationSegment>* segments)
+    // Non-owning: the aliasing constructor with an empty owner.
+    : single_{std::shared_ptr<const MasterRelation>(
+                  std::shared_ptr<const MasterRelation>(), relation),
+              0},
+      catalog_(catalog),
+      views_(views),
+      log_(query_log),
+      segments_(segments) {
+  COLGRAPH_CHECK(segments == nullptr ||
+                 (!segments->empty() &&
+                  segments->front().relation.get() == relation));
+}
+
 QueryEngine::ResolvedQuery QueryEngine::Resolve(const GraphQuery& query) const {
   ResolvedQuery resolved;
   const DirectedGraph& g = query.graph();
@@ -37,172 +54,166 @@ QueryEngine::ResolvedQuery QueryEngine::Resolve(const GraphQuery& query) const {
   return resolved;
 }
 
-size_t QueryEngine::SourceCardinality(const BitmapSource& source) const {
+size_t QueryEngine::SourceCardinality(const MasterRelation& rel,
+                                      const BitmapSource& source) {
   switch (source.kind) {
     case BitmapSource::Kind::kEdge:
-      return relation_->EdgeBitmapCardinality(
-          static_cast<EdgeId>(source.index));
+      return rel.EdgeBitmapCardinality(static_cast<EdgeId>(source.index));
     case BitmapSource::Kind::kGraphView:
-      return relation_->GraphViewCardinality(source.index);
+      return rel.GraphViewCardinality(source.index);
     case BitmapSource::Kind::kAggViewBitmap:
-      return relation_->AggViewCardinality(source.index);
+      return rel.AggViewCardinality(source.index);
   }
   return 0;
 }
 
-const Bitmap& QueryEngine::FetchSource(const BitmapSource& source) const {
+const Bitmap& QueryEngine::FetchSource(const MasterRelation& rel,
+                                       const BitmapSource& source) const {
   switch (source.kind) {
     case BitmapSource::Kind::kEdge:
-      return relation_->FetchEdgeBitmap(static_cast<EdgeId>(source.index));
+      return rel.FetchEdgeBitmap(static_cast<EdgeId>(source.index), &stats());
     case BitmapSource::Kind::kGraphView:
-      return relation_->FetchGraphView(source.index);
+      return rel.FetchGraphView(source.index, &stats());
     case BitmapSource::Kind::kAggViewBitmap:
-      return relation_->FetchAggregateViewBitmap(source.index);
+      return rel.FetchAggregateViewBitmap(source.index, &stats());
   }
   // Unreachable; keeps -Wreturn-type happy.
-  return relation_->FetchEdgeBitmap(0);
+  return rel.FetchEdgeBitmap(0, &stats());
 }
 
-const HybridBitmap* QueryEngine::PeekSourceHybrid(
-    const BitmapSource& source) const {
+const HybridBitmap* QueryEngine::PeekSourceHybrid(const MasterRelation& rel,
+                                                  const BitmapSource& source) {
   switch (source.kind) {
     case BitmapSource::Kind::kEdge:
-      return relation_->PeekEdgeBitmapHybrid(
-          static_cast<EdgeId>(source.index));
+      return rel.PeekEdgeBitmapHybrid(static_cast<EdgeId>(source.index));
     case BitmapSource::Kind::kGraphView:
-      return relation_->PeekGraphViewHybrid(source.index);
+      return rel.PeekGraphViewHybrid(source.index);
     case BitmapSource::Kind::kAggViewBitmap:
-      return relation_->PeekAggViewBitmapHybrid(source.index);
+      return rel.PeekAggViewBitmapHybrid(source.index);
   }
   return nullptr;
-}
-
-QueryEngine::SourceRef QueryEngine::FetchSourceRef(
-    const BitmapSource& source) const {
-  SourceRef ref;
-  ref.plain = &FetchSource(source);
-  ref.hybrid = PeekSourceHybrid(source);
-  return ref;
-}
-
-size_t QueryEngine::TotalRecords() const {
-  size_t total = relation_->num_records();
-  if (tails_ != nullptr) {
-    for (const RelationSegment& seg : *tails_) {
-      total += seg.relation->num_records();
-    }
-  }
-  return total;
-}
-
-Bitmap QueryEngine::MatchIdsInTail(const MasterRelation& tail,
-                                   const std::vector<EdgeId>& ids) const {
-  // An edge the tail has no column for was never recorded in it, so the
-  // conjunction is empty. (The unconstrained ids.empty() case is handled
-  // by MatchIds before segments come into play.)
-  for (const EdgeId id : ids) {
-    if (id >= tail.num_edge_columns()) return Bitmap(tail.num_records());
-  }
-  Bitmap result = tail.FetchEdgeBitmap(ids.front());
-  for (size_t i = 1; i < ids.size() && !result.None(); ++i) {
-    result.And(tail.FetchEdgeBitmap(ids[i]));
-  }
-  return result;
 }
 
 Bitmap QueryEngine::MatchIds(const std::vector<EdgeId>& ids,
                              const QueryOptions& options,
                              bool consider_agg_bitmaps,
                              MatchPlan* plan_out) const {
+  return MatchSegments(ids, options, consider_agg_bitmaps, plan_out, nullptr);
+}
+
+Bitmap QueryEngine::MatchSegments(const std::vector<EdgeId>& ids,
+                                  const QueryOptions& options,
+                                  bool consider_agg_bitmaps,
+                                  MatchPlan* plan_out,
+                                  std::vector<size_t>* step_counts) const {
   if (plan_out != nullptr) plan_out->sources.clear();
   if (ids.empty()) {
-    // An unconstrained query matches everything — tail records included.
-    Bitmap all(TotalRecords());
+    // An unconstrained query matches every record of every segment.
+    Bitmap all(num_records());
     all.Fill();
     return all;
   }
-  // Incremental ingest can grow the catalog past the primary's columns
-  // (a tail introduced the edge); the primary then cannot contain the
-  // query and contributes an empty conjunct. Only reachable with tails:
-  // in single-relation mode the catalog and relation grow in lockstep.
-  if (HasTails() &&
-      std::any_of(ids.begin(), ids.end(), [&](EdgeId id) {
-        return id >= relation_->num_edge_columns();
+  // The global answer is the union of the per-segment answers, each
+  // blitted at its segment's base (DESIGN.md §14).
+  const std::span<const RelationSegment> segs = segments();
+  Bitmap full(segs.size() > 1 ? num_records() : 0);
+  for (size_t s = 0; s < segs.size(); ++s) {
+    Bitmap matches =
+        MatchSegment(s, ids, options, consider_agg_bitmaps,
+                     s == 0 ? plan_out : nullptr, s == 0 ? step_counts : nullptr);
+    if (segs.size() == 1) return matches;  // the answer as is, uncopied
+    full.OrAt(matches, segs[s].base);
+  }
+  return full;
+}
+
+Bitmap QueryEngine::MatchSegment(size_t s, const std::vector<EdgeId>& ids,
+                                 const QueryOptions& options,
+                                 bool consider_agg_bitmaps, MatchPlan* plan_out,
+                                 std::vector<size_t>* step_counts) const {
+  const MasterRelation& rel = *segments()[s].relation;
+  // The catalog outgrows a segment's columns when a later segment
+  // introduced an edge; this segment never recorded it, so none of its
+  // records match.
+  if (std::any_of(ids.begin(), ids.end(), [&](EdgeId id) {
+        return id >= rel.num_edge_columns();
       })) {
-    Bitmap full(TotalRecords());
-    for (const RelationSegment& seg : *tails_) {
-      full.OrAt(MatchIdsInTail(*seg.relation, ids), seg.base);
-    }
-    return full;
+    return Bitmap(rel.num_records());
   }
   MatchPlan plan;
   {
     const obs::Span span(obs::QueryPhase::kRewrite, options.trace);
-    plan = PlanMatch(ids, options.use_views ? views_ : nullptr,
-                     consider_agg_bitmaps);
-    if (options.order_by_selectivity) {
+    plan = PlanMatch(ids, SegmentViews(s, options), consider_agg_bitmaps);
+    if (s == 0 && options.order_by_selectivity) {
       // AND the most selective bitmaps first so the running conjunction
       // empties (and short-circuits) as early as possible. Cardinalities
-      // come from the sealed columns' rank directories — free statistics.
+      // come from the sealed columns' rank directories — free statistics,
+      // but one cache miss per source: the small tail segments skip the
+      // sort, whose lookups would cost more than the ANDs it could save.
       std::sort(plan.sources.begin(), plan.sources.end(),
                 [&](const BitmapSource& a, const BitmapSource& b) {
-                  return SourceCardinality(a) < SourceCardinality(b);
+                  return SourceCardinality(rel, a) < SourceCardinality(rel, b);
                 });
     }
     if (plan_out != nullptr) *plan_out = plan;
   }
   const obs::Span span(obs::QueryPhase::kBitmapAnd, options.trace);
+  return AndSources(rel, plan.sources, step_counts);
+}
+
+Bitmap QueryEngine::AndSources(const MasterRelation& rel,
+                               const std::vector<BitmapSource>& sources,
+                               std::vector<size_t>* step_counts) const {
   // The running conjunction stays in the hybrid (compressed) domain as long
   // as every operand so far has a hybrid sidecar — container-level ANDs
   // touch only the compressed payloads. The first plain operand (or the
   // final result) materializes it into words once; from there hybrid
   // operands apply in place via AndInto's word kernels.
-  const SourceRef front = FetchSourceRef(plan.sources.front());
   std::optional<HybridBitmap> running;
   Bitmap result;
-  if (front.hybrid != nullptr) {
-    running = *front.hybrid;
-  } else {
-    result = *front.plain;
-  }
-  for (size_t i = 1; i < plan.sources.size(); ++i) {
+  for (size_t i = 0; i < sources.size(); ++i) {
     // Short-circuit: once the conjunction is empty no further bitmap can
     // add records, so stop fetching. This is why column-store query time
     // *drops* as query graphs grow (Figure 3b): bigger queries are more
     // selective and the AND pipeline exits early.
-    if (running.has_value() ? running->None() : result.None()) break;
-    const SourceRef ref = FetchSourceRef(plan.sources[i]);
-    if (running.has_value()) {
-      if (ref.hybrid != nullptr) {
-        running = HybridBitmap::And(*running, *ref.hybrid);
+    if (i > 0 && (running.has_value() ? running->None() : result.None())) {
+      if (step_counts != nullptr) step_counts->resize(sources.size(), 0);
+      break;
+    }
+    const Bitmap& plain = FetchSource(rel, sources[i]);
+    const HybridBitmap* hybrid = PeekSourceHybrid(rel, sources[i]);
+    if (i == 0) {
+      if (hybrid != nullptr) {
+        running = *hybrid;
+      } else {
+        result = plain;
+      }
+    } else if (running.has_value()) {
+      if (hybrid != nullptr) {
+        running = HybridBitmap::And(*running, *hybrid);
       } else {
         result = running->ToBitmap();
         running.reset();
-        result.And(*ref.plain);
+        result.And(plain);
       }
-    } else if (ref.hybrid != nullptr) {
-      ref.hybrid->AndInto(&result);
+    } else if (hybrid != nullptr) {
+      hybrid->AndInto(&result);
     } else {
-      result.And(*ref.plain);
+      result.And(plain);
+    }
+    if (step_counts != nullptr) {
+      step_counts->push_back(running.has_value() ? running->Count()
+                                                 : result.Count());
     }
   }
   if (running.has_value()) result = running->ToBitmap();
-  if (!HasTails()) return result;
-
-  // Multi-dataset OR (DESIGN.md §14): the global answer is the union of
-  // the per-dataset answers, each blitted at its segment's base offset.
-  Bitmap full(TotalRecords());
-  full.OrAt(result, 0);
-  for (const RelationSegment& seg : *tails_) {
-    full.OrAt(MatchIdsInTail(*seg.relation, ids), seg.base);
-  }
-  return full;
+  return result;
 }
 
 Bitmap QueryEngine::Match(const GraphQuery& query,
                           const QueryOptions& options) const {
   const ResolvedQuery resolved = Resolve(query);
-  if (!resolved.satisfiable) return Bitmap(TotalRecords());
+  if (!resolved.satisfiable) return Bitmap(num_records());
   return MatchIds(resolved.ids, options, /*consider_agg_bitmaps=*/false);
 }
 
@@ -226,9 +237,9 @@ Bitmap QueryEngine::AndNotSets(const Bitmap& a, const Bitmap& b) {
 
 MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
                                         const std::vector<EdgeId>& edges) const {
-  // Every set bit must name a record some column covers: the gather below
+  // Every set bit must name a record some segment holds: the gather below
   // indexes presence words without a per-row bound.
-  COLGRAPH_CHECK_LE(matches.size(), TotalRecords());
+  COLGRAPH_CHECK_LE(matches.size(), num_records());
   const obs::Span span(obs::QueryPhase::kFetch, nullptr);
   MeasureTable table;
   table.edges = edges;
@@ -239,80 +250,68 @@ MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
   // other face of "larger queries are cheaper" (Figure 3b).
   if (table.records.empty()) return table;
   const size_t num_rows = table.records.size();
-  FetchStats& stats = relation_->stats();
+  for (std::vector<double>& column : table.columns) column.resize(num_rows);
+  FetchStats& stats = this->stats();
 
-  if (HasTails()) {
-    // Multi-dataset fetch (DESIGN.md §14): each row is filled from the
-    // segment that owns its global record id. The match list is sorted and
-    // segments are contiguous id ranges, so each segment owns one run of
-    // rows. The partition merge-join modeling below applies to a single
-    // store; tails are small unpartitioned appendices, so each touched
-    // segment counts as one partition visit.
-    constexpr double kTailNull = std::numeric_limits<double>::quiet_NaN();
-    for (auto& column : table.columns) column.assign(num_rows, kTailNull);
-    std::vector<RelationSegment> segments;
-    segments.push_back({relation_, 0});
-    segments.insert(segments.end(), tails_->begin(), tails_->end());
-    const RecordId* rows = table.records.data();
-    size_t first = 0;
-    for (const RelationSegment& seg : segments) {
-      const size_t end = static_cast<size_t>(
-          std::lower_bound(rows + first, rows + num_rows,
-                           seg.base + seg.relation->num_records()) -
-          rows);
-      if (end == first) continue;
-      ++stats.partitions_touched;
-      for (size_t i = 0; i < edges.size(); ++i) {
-        // A column the segment never grew stays NULL for its records.
-        if (edges[i] >= seg.relation->num_edge_columns()) continue;
-        seg.relation->FetchMeasureColumn(edges[i]).Gather(
-            rows + first, end - first, seg.base,
-            table.columns[i].data() + first, nullptr);
-        stats.values_fetched += end - first;
-      }
-      first = end;
-    }
-    return table;
-  }
-
-  // Group the requested columns by vertical partition (Section 6.1):
-  // (partition, column index) pairs sorted by partition.
+  // (partition, column index) pairs of one segment, sorted by partition.
   std::vector<std::pair<size_t, size_t>> slots;
   slots.reserve(edges.size());
-  for (size_t i = 0; i < edges.size(); ++i) {
-    slots.emplace_back(relation_->PartitionOf(edges[i]), i);
-  }
-  std::sort(slots.begin(), slots.end());
-  const auto starts_partition = [&](size_t s) {
-    return s == 0 || slots[s].first != slots[s - 1].first;
-  };
-  size_t num_partitions = 0;
-  for (size_t s = 0; s < slots.size(); ++s) {
-    if (starts_partition(s)) ++num_partitions;
-  }
-  stats.partitions_touched += num_partitions;
-
-  // With one sub-relation the columns gather straight into the result.
-  // With p > 1, each partition assembles its own (recid, values...) rows
-  // from a private copy of the match list, and the p partials are then
-  // merge-joined on recid. Both sides are sorted by recid and share the
-  // key sequence, so each join is a linear copy into place — but the
-  // extra materialization is real work that grows with the partition
-  // count, reproducing the degradation of Figure 5.
   std::vector<RecordId> partial_records;
-  const RecordId* rows = table.records.data();
-  for (size_t s = 0; s < slots.size(); ++s) {
-    if (num_partitions > 1 && starts_partition(s)) {
-      partial_records = table.records;
-      rows = partial_records.data();
+  const RecordId* const records = table.records.data();
+  size_t first = 0;
+  for (const RelationSegment& seg : segments()) {
+    // The match list is sorted and segments are contiguous id ranges, so
+    // each segment owns one run of rows.
+    const size_t end = static_cast<size_t>(
+        std::lower_bound(records + first, records + num_rows, seg.end()) -
+        records);
+    if (end == first) continue;
+    const size_t n = end - first;
+    const MasterRelation& rel = *seg.relation;
+
+    // Group the segment's columns by its vertical partition (Section 6.1).
+    // A column the segment never grew stays NULL for its rows.
+    slots.clear();
+    for (size_t i = 0; i < edges.size(); ++i) {
+      if (edges[i] < rel.num_edge_columns()) {
+        slots.emplace_back(rel.PartitionOf(edges[i]), i);
+      } else {
+        std::fill_n(table.columns[i].data() + first, n,
+                    std::numeric_limits<double>::quiet_NaN());
+      }
     }
-    std::vector<double>& out = table.columns[slots[s].second];
-    out.resize(num_rows);
-    relation_->FetchMeasureColumn(edges[slots[s].second])
-        .Gather(rows, num_rows, 0, out.data(), nullptr);
-    stats.values_fetched += num_rows;
+    std::sort(slots.begin(), slots.end());
+    const auto starts_partition = [&](size_t k) {
+      return k == 0 || slots[k].first != slots[k - 1].first;
+    };
+    size_t num_partitions = 0;
+    for (size_t k = 0; k < slots.size(); ++k) {
+      if (starts_partition(k)) ++num_partitions;
+    }
+    stats.partitions_touched += num_partitions;
+
+    // With one sub-relation the columns gather straight into the result.
+    // With p > 1, each partition assembles its own (recid, values...) rows
+    // from a private copy of the segment's match run, and the p partials
+    // are then merge-joined on recid. Both sides are sorted by recid and
+    // share the key sequence, so each join is a linear copy into place —
+    // but the extra materialization is real work that grows with the
+    // partition count, reproducing the degradation of Figure 5.
+    const RecordId* rows = records + first;
+    for (size_t k = 0; k < slots.size(); ++k) {
+      if (num_partitions > 1 && starts_partition(k)) {
+        partial_records.assign(records + first, records + end);
+        rows = partial_records.data();
+      }
+      const size_t i = slots[k].second;
+      rel.FetchMeasureColumn(edges[i], &stats)
+          .Gather(rows, n, seg.base, table.columns[i].data() + first,
+                  nullptr);
+      stats.values_fetched += n;
+    }
+    if (num_partitions > 1) stats.partition_joins += num_partitions - 1;
+    first = end;
   }
-  if (num_partitions > 1) stats.partition_joins += num_partitions - 1;
   return table;
 }
 
@@ -494,63 +493,44 @@ void QueryEngine::ExplainMatchInto(const std::vector<EdgeId>& ids,
   result->used_views =
       views != nullptr &&
       (views->num_graph_views() > 0 || views->num_agg_views() > 0);
-  if (ids.empty()) {
-    // Unconstrained query: matches everything, no bitmaps to AND.
-    result->matched_records = TotalRecords();
-    return;
-  }
-  // EXPLAIN annotates the primary store's plan. An edge only tail
-  // datasets know makes that plan an empty conjunct — report it as such
-  // instead of indexing columns the primary does not have.
-  if (HasTails() &&
-      std::any_of(ids.begin(), ids.end(), [&](EdgeId id) {
-        return id >= relation_->num_edge_columns();
-      })) {
-    result->matched_records = 0;
-    return;
-  }
-
-  AnnotatedMatchPlan plan = PlanMatchAnnotated(ids, views,
-                                               consider_agg_bitmaps);
-  if (options.order_by_selectivity) {
-    // Mirror MatchIds' execution order exactly (stable sort is not needed
-    // there either: SourceCardinality is a strict weak order over the same
-    // values, and equal-cardinality ties keep plan order via std::sort's
-    // determinism on identical input).
-    std::sort(plan.sources.begin(), plan.sources.end(),
-              [&](const AnnotatedSource& a, const AnnotatedSource& b) {
-                return SourceCardinality(a.source) <
-                       SourceCardinality(b.source);
-              });
-  }
-
-  Bitmap running;
-  bool first = true;
-  for (const AnnotatedSource& annotated : plan.sources) {
+  // The match MatchIds runs, counted over every segment; the sources
+  // annotate segment 0's plan.
+  MatchPlan plan;
+  std::vector<size_t> step_counts;
+  result->matched_records =
+      MatchSegments(ids, options, consider_agg_bitmaps, &plan, &step_counts)
+          .Count();
+  const MasterRelation& rel = relation();
+  for (size_t i = 0; i < plan.sources.size(); ++i) {
+    const BitmapSource& source = plan.sources[i];
     obs::ExplainSource out;
-    out.source = annotated.source;
-    out.covers = annotated.covers;
-    out.estimated_cardinality = SourceCardinality(annotated.source);
-    out.hybrid = PeekSourceHybrid(annotated.source) != nullptr;
-    if (first) {
-      running = FetchSource(annotated.source);
-      first = false;
-    } else if (!running.None()) {
-      running.And(FetchSource(annotated.source));
-    }
-    out.cumulative_cardinality = running.Count();
-    if (annotated.source.kind == BitmapSource::Kind::kEdge) {
-      result->residual_edges.push_back(static_cast<EdgeId>(
-          annotated.source.index));
-    } else if (annotated.source.kind == BitmapSource::Kind::kGraphView) {
-      result->graph_view_indexes.push_back(annotated.source.index);
-    } else if (annotated.source.kind == BitmapSource::Kind::kAggViewBitmap) {
-      result->agg_view_indexes.push_back(annotated.source.index);
+    out.source = source;
+    out.estimated_cardinality = SourceCardinality(rel, source);
+    out.hybrid = PeekSourceHybrid(rel, source) != nullptr;
+    out.cumulative_cardinality = step_counts[i];
+    switch (source.kind) {
+      case BitmapSource::Kind::kEdge:
+        out.covers = {static_cast<EdgeId>(source.index)};
+        result->residual_edges.push_back(static_cast<EdgeId>(source.index));
+        break;
+      case BitmapSource::Kind::kGraphView:
+        for (const auto& [def, index] : views->graph_views()) {
+          if (index == source.index) out.covers = def.edges;
+        }
+        result->graph_view_indexes.push_back(source.index);
+        break;
+      case BitmapSource::Kind::kAggViewBitmap:
+        for (const auto& [def, index] : views->agg_views()) {
+          if (index == source.index) {
+            out.covers = GraphViewDef::Make(def.elements).edges;
+          }
+        }
+        result->agg_view_indexes.push_back(source.index);
+        break;
     }
     result->sources.push_back(std::move(out));
   }
   std::sort(result->residual_edges.begin(), result->residual_edges.end());
-  result->matched_records = running.Count();
 }
 
 }  // namespace colgraph

@@ -4,6 +4,8 @@
 // query, reusing materialized aggregate views where possible.
 #pragma once
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "bitmap/bitmap.h"
@@ -69,17 +71,21 @@ struct QueryOptions {
 
 class ThreadPool;
 
-/// \brief One extra store of records behind a query: an immutable tail
-/// dataset (DESIGN.md §14) whose record 0 sits at global record id `base`.
-/// The primary relation always occupies [0, primary.num_records()); tails
-/// stack behind it in ingest order.
+/// \brief One segment of the record store (DESIGN.md §14): a sealed
+/// relation whose record 0 sits at global record id `base`. A store is an
+/// ordered segment list. Segment 0 is the primary relation at base 0 and
+/// the only one carrying materialized views; the immutable tail datasets
+/// follow in ingest order, each based where its predecessor ends.
 struct RelationSegment {
-  const MasterRelation* relation = nullptr;
+  std::shared_ptr<const MasterRelation> relation;
   size_t base = 0;
+
+  /// One past the segment's last global record id.
+  size_t end() const { return base + relation->num_records(); }
 };
 
-/// \brief Evaluator bound to one relation + catalogs, plus optional tail
-/// datasets (incremental ingest, DESIGN.md §14).
+/// \brief Evaluator bound to a segment list (one relation, or a primary
+/// plus tail datasets) and its catalogs.
 ///
 /// Thread-safe: all query entry points are const reads over the sealed
 /// relation(s) and catalogs, and the shared FetchStats counters are relaxed
@@ -94,20 +100,16 @@ class QueryEngine {
   /// workload-driven view advice (DESIGN.md §10). The log outlives the
   /// evaluator; hooks are skipped when obs::QueryLogEnabled() is off.
   ///
-  /// `tails` (optional) appends immutable tail datasets behind the primary
-  /// relation: matches become the OR of the per-dataset matches (each
-  /// blitted at its segment base), fetches and aggregate folds route every
-  /// global record id to the segment that owns it. Views cover the primary
-  /// only — tail records are always evaluated from their atomic columns.
-  /// nullptr or empty reproduces single-relation behavior bit for bit.
+  /// `segments` (optional) is the whole segment list, `relation` being its
+  /// segment 0; it must outlive the evaluator. Matches are the OR of the
+  /// per-segment matches (each blitted at its base); fetches and folds
+  /// read each segment's run of the match list. Views and the selectivity
+  /// order belong to segment 0: the other segments plan with no views and
+  /// AND in edge-id order. Every fetch is charged to segment 0's
+  /// FetchStats. nullptr means `relation` is the only segment.
   QueryEngine(const MasterRelation* relation, const EdgeCatalog* catalog,
               const ViewCatalog* views, obs::QueryLog* query_log = nullptr,
-              const std::vector<RelationSegment>* tails = nullptr)
-      : relation_(relation),
-        catalog_(catalog),
-        views_(views),
-        log_(query_log),
-        tails_(tails) {}
+              const std::vector<RelationSegment>* segments = nullptr);
 
   /// Resolves the query's structural elements to edge-column ids.
   ///
@@ -125,9 +127,9 @@ class QueryEngine {
   Bitmap Match(const GraphQuery& query, const QueryOptions& options = {}) const;
 
   /// Match via an explicit element-id set. `plan_out` (optional) receives
-  /// the executed plan — sources in AND order, after the selectivity sort —
-  /// so callers (the query-log hooks) can record the rewriter's choices
-  /// without re-planning.
+  /// segment 0's executed plan — sources in AND order, after the
+  /// selectivity sort — so callers (the query-log hooks) can record the
+  /// rewriter's choices without re-planning.
   Bitmap MatchIds(const std::vector<EdgeId>& ids, const QueryOptions& options,
                   bool consider_agg_bitmaps,
                   MatchPlan* plan_out = nullptr) const;
@@ -140,9 +142,11 @@ class QueryEngine {
   static Bitmap AndNotSets(const Bitmap& a, const Bitmap& b);
 
   /// Fetches the measures of `edges` for every record in `matches`,
-  /// honoring vertical partitioning: when the columns span p partitions,
-  /// the per-partition column groups are assembled separately and
-  /// merge-joined on recid (p-1 joins), reproducing the Figure 5 effect.
+  /// segment by segment, honoring each segment's vertical partitioning:
+  /// when its columns span p partitions, the per-partition column groups
+  /// are assembled separately and merge-joined on recid (p-1 joins),
+  /// reproducing the Figure 5 effect. A column a segment never grew is
+  /// NULL for its records.
   MeasureTable FetchMeasures(const Bitmap& matches,
                              const std::vector<EdgeId>& edges) const;
 
@@ -178,10 +182,12 @@ class QueryEngine {
 
   /// EXPLAIN for a graph query: the rewriter's decisions (views chosen,
   /// residual atomic edges) plus estimated vs. actual bitmap
-  /// cardinalities, without fetching any measures. The sources are exactly
-  /// the plan MatchIds would AND, in the same order (including the
-  /// selectivity sort). Reads the plan's bitmaps to compute the running
-  /// conjunction, so it counts against FetchStats like a Match would.
+  /// cardinalities, without fetching any measures. The sources annotate
+  /// segment 0's plan: exactly the sources MatchIds ANDs there, in the
+  /// same order (including the selectivity sort). `matched_records`
+  /// counts every segment's matches, so it equals Match(query).Count().
+  /// Reads each segment's plan bitmaps through the same AND as MatchIds,
+  /// so it counts against FetchStats like a Match would.
   obs::ExplainResult Explain(const GraphQuery& query,
                              const QueryOptions& options = {}) const;
 
@@ -201,39 +207,70 @@ class QueryEngine {
   [[nodiscard]] StatusOr<PathAggResult> AggregateAlongPath(
       const Path& path, AggFn fn, const QueryOptions& options = {}) const;
 
-  const MasterRelation& relation() const { return *relation_; }
+  /// Segment 0, the primary relation.
+  const MasterRelation& relation() const { return *single_.relation; }
 
  private:
-  bool HasTails() const { return tails_ != nullptr && !tails_->empty(); }
-  /// Global record-id domain: primary records plus every tail's records.
-  size_t TotalRecords() const;
-  /// Tail-local match: plain per-edge bitmap AND over one tail dataset
-  /// (no views, no hybrid pipeline — tails are small appendices). An edge
-  /// id the tail has no column for matches nothing in it.
-  Bitmap MatchIdsInTail(const MasterRelation& tail,
-                        const std::vector<EdgeId>& ids) const;
+  /// The segment list; segment 0 is the relation passed first.
+  std::span<const RelationSegment> segments() const {
+    return segments_ != nullptr ? std::span<const RelationSegment>(*segments_)
+                                : std::span<const RelationSegment>(&single_, 1);
+  }
+  /// Records in every segment: the global record-id domain.
+  size_t num_records() const { return segments().back().end(); }
+  /// Segment 0's counters, charged for every segment's fetches.
+  FetchStats& stats() const { return single_.relation->stats(); }
+  /// The views segment `s` plans with: the catalog for segment 0 (when
+  /// `options` use views), none for the others.
+  const ViewCatalog* SegmentViews(size_t s, const QueryOptions& options) const {
+    return s == 0 && options.use_views ? views_ : nullptr;
+  }
+
+  /// MatchIds, also writing segment 0's running AND cardinalities to
+  /// *step_counts when non-null (EXPLAIN).
+  Bitmap MatchSegments(const std::vector<EdgeId>& ids,
+                       const QueryOptions& options, bool consider_agg_bitmaps,
+                       MatchPlan* plan_out,
+                       std::vector<size_t>* step_counts) const;
+  /// Segment `s`'s answer over its local record ids: the plan for `ids`
+  /// (segment 0's in selectivity order when `options` ask; the tails'
+  /// in edge-id order) ANDed by AndSources. Empty
+  /// when the segment has no column for some id: it never recorded that
+  /// edge. Writes the executed plan to *plan_out when non-null.
+  Bitmap MatchSegment(size_t s, const std::vector<EdgeId>& ids,
+                      const QueryOptions& options, bool consider_agg_bitmaps,
+                      MatchPlan* plan_out,
+                      std::vector<size_t>* step_counts) const;
+  /// ANDs `sources` over `rel` in order. The running conjunction stays in
+  /// the hybrid (compressed) domain while every operand has a hybrid
+  /// sidecar, and fetching stops once it is empty. When `step_counts` is
+  /// non-null it receives the running cardinality after each source (0
+  /// past the short-circuit).
+  Bitmap AndSources(const MasterRelation& rel,
+                    const std::vector<BitmapSource>& sources,
+                    std::vector<size_t>* step_counts) const;
 
   /// One column of a path's fold: an atomic element measure, or an
   /// aggregate view folding `num_elements` elements. A null column (an
-  /// element a tail never saw) contributes nothing.
+  /// element the segment never grew) contributes nothing.
   struct FoldColumn {
     const MeasureColumn* column = nullptr;
     bool is_view = false;
     size_t num_elements = 1;
   };
-  /// The fold inputs of the records with global ids [base, base + num):
-  /// the primary relation's plan columns, or one tail's atomic columns.
+  /// The fold inputs of the records with global ids [base, base + num).
   struct FoldSegment {
     size_t base = 0;
     size_t num = 0;
     std::vector<FoldColumn> columns;
   };
-  /// A path's fold segments: the primary with `plan`'s columns (none when
-  /// an element of `elements` exists only in tails), then every tail with
-  /// its columns for the path's measurable `elements`. Appends the plan's
-  /// aggregate-view indexes to *path_views_out when non-null.
+  /// A path's fold inputs, one per segment: the columns of the segment's
+  /// plan for `fn` over the path's measurable `elements` (aggregate views
+  /// in segment 0 only). Appends the chosen aggregate-view indexes to
+  /// *path_views_out when non-null.
   std::vector<FoldSegment> FoldSegments(
-      const PathPlan& plan, const std::vector<EdgeId>& elements,
+      const std::vector<EdgeId>& elements, AggFn fn,
+      const QueryOptions& options,
       std::vector<uint32_t>* path_views_out) const;
   /// Appends to *values the fold of `fn` along one path for every record
   /// of the sorted `records`: each segment's columns are gathered a block
@@ -246,26 +283,22 @@ class QueryEngine {
                                 size_t* folded,
                                 std::vector<double>* values) const;
 
-  const Bitmap& FetchSource(const BitmapSource& source) const;
-  /// A fetched source under both encodings: `plain` is always valid;
-  /// `hybrid` is the column's seal-time hybrid sidecar or nullptr. One
-  /// FetchSourceRef counts exactly one bitmap fetch (the hybrid peek is
-  /// accounting-free), so FetchStats are identical whichever encoding the
-  /// AND loop consumes.
-  struct SourceRef {
-    const Bitmap* plain = nullptr;
-    const HybridBitmap* hybrid = nullptr;
-  };
-  SourceRef FetchSourceRef(const BitmapSource& source) const;
+  /// Fetches a plan source's bitmap from `rel` (one bitmap fetch).
+  const Bitmap& FetchSource(const MasterRelation& rel,
+                            const BitmapSource& source) const;
   /// The source's hybrid sidecar (nullptr when plain-encoded); no
-  /// accounting.
-  const HybridBitmap* PeekSourceHybrid(const BitmapSource& source) const;
+  /// accounting, so FetchStats are identical whichever encoding the AND
+  /// loop consumes.
+  static const HybridBitmap* PeekSourceHybrid(const MasterRelation& rel,
+                                              const BitmapSource& source);
   /// Set-bit count of a plan source, without counting as a fetch.
-  size_t SourceCardinality(const BitmapSource& source) const;
+  static size_t SourceCardinality(const MasterRelation& rel,
+                                  const BitmapSource& source);
 
-  /// Shared EXPLAIN core: fills `result` with the annotated match plan for
-  /// resolved edge ids (sources in AND order, per-step estimated vs.
-  /// actual cardinalities, residual edges, chosen view indexes).
+  /// Shared EXPLAIN core: runs the match of resolved edge ids and fills
+  /// `result` with segment 0's annotated plan (sources in AND order,
+  /// per-step estimated vs. actual cardinalities, residual edges, chosen
+  /// view indexes) and the match count over every segment.
   void ExplainMatchInto(const std::vector<EdgeId>& ids,
                         const QueryOptions& options,
                         bool consider_agg_bitmaps,
@@ -286,12 +319,12 @@ class QueryEngine {
                        const obs::Trace& trace, uint64_t start_us,
                        uint64_t result_cardinality) const;
 
-  const MasterRelation* relation_;
+  /// Segment 0 without an owner; the only segment when segments_ is null.
+  RelationSegment single_;
   const EdgeCatalog* catalog_;
   const ViewCatalog* views_;  // may be null (no views materialized)
   obs::QueryLog* log_;        // may be null (no capture configured)
-  /// Tail datasets behind the primary; null/empty = single-relation mode.
-  const std::vector<RelationSegment>* tails_;
+  const std::vector<RelationSegment>* segments_;  // may be null
 };
 
 }  // namespace colgraph

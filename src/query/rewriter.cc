@@ -7,99 +7,46 @@
 
 namespace colgraph {
 
-namespace {
-
-// Shared between PlanMatch and PlanMatchAnnotated so both resolve the
-// identical cover problem: a sorted/deduplicated query edge set plus the
-// usable view bitmaps (graph views, optionally the bp bitmaps of aggregate
-// views — both are just bitmap columns over the same records).
-struct CoverProblem {
-  std::vector<EdgeId> sorted_edges;
-  std::vector<GraphViewDef> cover_sets;
-  std::vector<BitmapSource> cover_sources;
-  bool has_views = false;
-};
-
-CoverProblem CollectCoverProblem(const std::vector<EdgeId>& query_edge_ids,
-                                 const ViewCatalog* views,
-                                 bool consider_agg_bitmaps) {
-  CoverProblem problem;
-  problem.sorted_edges = query_edge_ids;
-  std::sort(problem.sorted_edges.begin(), problem.sorted_edges.end());
-  problem.sorted_edges.erase(
-      std::unique(problem.sorted_edges.begin(), problem.sorted_edges.end()),
-      problem.sorted_edges.end());
+MatchPlan PlanMatch(const std::vector<EdgeId>& query_edge_ids,
+                    const ViewCatalog* views, bool consider_agg_bitmaps) {
+  std::vector<EdgeId> sorted_edges = query_edge_ids;
+  std::sort(sorted_edges.begin(), sorted_edges.end());
+  sorted_edges.erase(std::unique(sorted_edges.begin(), sorted_edges.end()),
+                     sorted_edges.end());
+  MatchPlan plan;
   // Fast path: with no materialized views the plan is one bitmap per edge;
   // skip the set-cover machinery entirely.
   if (views == nullptr ||
       (views->num_graph_views() == 0 &&
        (!consider_agg_bitmaps || views->num_agg_views() == 0))) {
-    return problem;
-  }
-  problem.has_views = true;
-  for (const auto& [def, column] : views->graph_views()) {
-    problem.cover_sets.push_back(def);
-    problem.cover_sources.push_back(
-        BitmapSource{BitmapSource::Kind::kGraphView, column});
-  }
-  if (consider_agg_bitmaps) {
-    for (const auto& [def, column] : views->agg_views()) {
-      problem.cover_sets.push_back(GraphViewDef::Make(def.elements));
-      problem.cover_sources.push_back(
-          BitmapSource{BitmapSource::Kind::kAggViewBitmap, column});
-    }
-  }
-  return problem;
-}
-
-}  // namespace
-
-MatchPlan PlanMatch(const std::vector<EdgeId>& query_edge_ids,
-                    const ViewCatalog* views, bool consider_agg_bitmaps) {
-  const CoverProblem problem =
-      CollectCoverProblem(query_edge_ids, views, consider_agg_bitmaps);
-  MatchPlan plan;
-  if (!problem.has_views) {
-    plan.sources.reserve(problem.sorted_edges.size());
-    for (EdgeId e : problem.sorted_edges) {
+    plan.sources.reserve(sorted_edges.size());
+    for (EdgeId e : sorted_edges) {
       plan.sources.push_back(BitmapSource{BitmapSource::Kind::kEdge, e});
     }
     return plan;
   }
-  const QueryCover cover =
-      CoverQueryWithViews(problem.sorted_edges, problem.cover_sets);
+  // The usable view bitmaps: graph views, optionally the bp bitmaps of
+  // aggregate views — both are just bitmap columns over the same records.
+  std::vector<GraphViewDef> cover_sets;
+  std::vector<BitmapSource> cover_sources;
+  for (const auto& [def, column] : views->graph_views()) {
+    cover_sets.push_back(def);
+    cover_sources.push_back(
+        BitmapSource{BitmapSource::Kind::kGraphView, column});
+  }
+  if (consider_agg_bitmaps) {
+    for (const auto& [def, column] : views->agg_views()) {
+      cover_sets.push_back(GraphViewDef::Make(def.elements));
+      cover_sources.push_back(
+          BitmapSource{BitmapSource::Kind::kAggViewBitmap, column});
+    }
+  }
+  const QueryCover cover = CoverQueryWithViews(sorted_edges, cover_sets);
   for (size_t v : cover.view_indexes) {
-    plan.sources.push_back(problem.cover_sources[v]);
+    plan.sources.push_back(cover_sources[v]);
   }
   for (EdgeId e : cover.residual_edges) {
     plan.sources.push_back(BitmapSource{BitmapSource::Kind::kEdge, e});
-  }
-  return plan;
-}
-
-AnnotatedMatchPlan PlanMatchAnnotated(const std::vector<EdgeId>& query_edge_ids,
-                                      const ViewCatalog* views,
-                                      bool consider_agg_bitmaps) {
-  const CoverProblem problem =
-      CollectCoverProblem(query_edge_ids, views, consider_agg_bitmaps);
-  AnnotatedMatchPlan plan;
-  if (!problem.has_views) {
-    plan.sources.reserve(problem.sorted_edges.size());
-    for (EdgeId e : problem.sorted_edges) {
-      plan.sources.push_back(AnnotatedSource{
-          BitmapSource{BitmapSource::Kind::kEdge, e}, {e}});
-    }
-    return plan;
-  }
-  const QueryCover cover =
-      CoverQueryWithViews(problem.sorted_edges, problem.cover_sets);
-  for (size_t v : cover.view_indexes) {
-    plan.sources.push_back(AnnotatedSource{problem.cover_sources[v],
-                                           problem.cover_sets[v].edges});
-  }
-  for (EdgeId e : cover.residual_edges) {
-    plan.sources.push_back(
-        AnnotatedSource{BitmapSource{BitmapSource::Kind::kEdge, e}, {e}});
   }
   return plan;
 }

@@ -39,27 +39,6 @@ struct MatchPlan {
 MatchPlan PlanMatch(const std::vector<EdgeId>& query_edge_ids,
                     const ViewCatalog* views, bool consider_agg_bitmaps);
 
-/// \brief One plan source plus the query edges it constrains — the
-/// information EXPLAIN needs that MatchPlan strips for the hot path.
-struct AnnotatedSource {
-  BitmapSource source;
-  /// The view's edge set for a view source; the edge itself for kEdge.
-  std::vector<EdgeId> covers;
-};
-
-/// \brief Match plan with per-source coverage annotations.
-struct AnnotatedMatchPlan {
-  std::vector<AnnotatedSource> sources;
-};
-
-/// PlanMatch with coverage annotations: same cover-set collection and the
-/// same CoverQueryWithViews call, so the sources (and their order) are
-/// identical to PlanMatch's — only the `covers` lists are added. Used by
-/// QueryEngine::Explain.
-AnnotatedMatchPlan PlanMatchAnnotated(const std::vector<EdgeId>& query_edge_ids,
-                                      const ViewCatalog* views,
-                                      bool consider_agg_bitmaps);
-
 /// \brief One segment of a rewritten path: either a materialized aggregate
 /// view replacing `num_elements` consecutive elements, or one atomic
 /// element.

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "columnstore/io_util.h"
 #include "columnstore/persistence.h"
 #include "core/engine.h"
+#include "core/replay.h"
 #include "graph/flatten.h"
 #include "util/random.h"
 
@@ -116,7 +118,7 @@ std::vector<GraphQuery> MakeWorkload() {
 ColGraphEngine BuildSingle(const std::vector<std::vector<NodeId>>& walks) {
   ColGraphEngine engine;
   for (size_t i = 0; i < walks.size(); ++i) {
-    COLGRAPH_CHECK_OK(engine.AddWalk(walks[i], MeasuresFor(walks[i], i)).status());
+    COLGRAPH_CHECK(engine.AddWalk(walks[i], MeasuresFor(walks[i], i)).ok());
   }
   COLGRAPH_CHECK_OK(engine.Seal());
   return engine;
@@ -129,7 +131,7 @@ ColGraphEngine BuildSplit(const std::vector<std::vector<NodeId>>& walks,
   const size_t chunk = walks.size() / (num_tails + 1);
   ColGraphEngine engine;
   for (size_t i = 0; i < chunk; ++i) {
-    COLGRAPH_CHECK_OK(engine.AddWalk(walks[i], MeasuresFor(walks[i], i)).status());
+    COLGRAPH_CHECK(engine.AddWalk(walks[i], MeasuresFor(walks[i], i)).ok());
   }
   COLGRAPH_CHECK_OK(engine.Seal());
   for (size_t t = 0; t < num_tails; ++t) {
@@ -178,7 +180,7 @@ MasterRelation MakeRelation(uint64_t seed, size_t num_records) {
     for (EdgeId e = 0; e < 6; ++e) {
       if (rng.Bernoulli(0.4)) record.emplace_back(e, rng.UniformReal(-9, 9));
     }
-    COLGRAPH_CHECK_OK(rel.AddRecord(record).status());
+    COLGRAPH_CHECK(rel.AddRecord(record).ok());
   }
   COLGRAPH_CHECK_OK(rel.Seal());
   return rel;
@@ -514,6 +516,78 @@ TEST(DatasetEngineTest, SharedCopyIsIsolatedFromLaterMutation) {
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(TablesIdentical(before.value(), after.value()))
       << "SharedCopy changed under a mutation of its source";
+}
+
+// 50 primary records on walk 1-2-3 plus a 30-record tail on walk 1-2-9:
+// edge 1->2 is in all 80 records, edge 2->9 only in the tail's 30.
+ColGraphEngine BuildPrimaryPlusTail() {
+  ColGraphEngine engine;
+  for (uint64_t i = 0; i < 50; ++i) {
+    COLGRAPH_CHECK(engine.AddWalk({1, 2, 3}, MeasuresFor({1, 2, 3}, i)).ok());
+  }
+  COLGRAPH_CHECK_OK(engine.Seal());
+  std::vector<GraphRecord> records;
+  for (uint64_t i = 0; i < 30; ++i) records.push_back(RecordFor({1, 2, 9}, i));
+  auto tail = engine.BuildTailRelation(records);
+  COLGRAPH_CHECK_OK(tail.status());
+  COLGRAPH_CHECK_OK(engine.AttachDataset(
+      std::make_shared<const MasterRelation>(std::move(tail).value())));
+  return engine;
+}
+
+// EXPLAIN counts the matches of every segment, not just the primary's.
+TEST(DatasetEngineTest, ExplainCountsTailRecords) {
+  const ColGraphEngine engine = BuildPrimaryPlusTail();
+  const GraphQuery shared = GraphQuery::FromPath({N(1), N(2)});
+  const GraphQuery tail_only = GraphQuery::FromPath({N(2), N(9)});
+  EXPECT_EQ(engine.Match(shared).Count(), 80u);
+  EXPECT_EQ(engine.Match(tail_only).Count(), 30u);
+  for (const GraphQuery& q : {shared, tail_only}) {
+    const size_t matched = engine.Match(q).Count();
+    EXPECT_EQ(engine.Explain(q).matched_records, matched);
+    EXPECT_EQ(engine.ExplainAggregate(q, AggFn::kSum).matched_records,
+              matched);
+  }
+  // The sources annotate the primary's plan: one bitmap for edge 1->2.
+  EXPECT_EQ(engine.Explain(shared).sources.size(), 1u);
+  EXPECT_TRUE(engine.Explain(tail_only).sources.empty());
+}
+
+// Replay binds every segment: a query the tail matches replays to its
+// logged cardinality, including one on an edge only the tail recorded.
+TEST(DatasetEngineTest, ReplayBindsEverySegment) {
+  const ColGraphEngine engine = BuildPrimaryPlusTail();
+  std::vector<obs::QueryLogRecord> log;
+  for (const auto& [from, to, kind, cardinality] :
+       {std::tuple{NodeId{1}, NodeId{2}, obs::QueryLogKind::kMatch, 80},
+        std::tuple{NodeId{2}, NodeId{9}, obs::QueryLogKind::kMatch, 30},
+        std::tuple{NodeId{2}, NodeId{9}, obs::QueryLogKind::kPathAgg, 30}}) {
+    obs::QueryLogRecord record;
+    record.kind = kind;
+    record.edges = {Edge{N(from), N(to)}};
+    record.result_cardinality = static_cast<uint64_t>(cardinality);
+    log.push_back(record);
+  }
+  const auto report = ReplayQueryLog(engine, log);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->queries_replayed, 3u);
+  EXPECT_EQ(report->cardinality_mismatches, 0u);
+}
+
+// Every segment's fetches are charged to the stats the engine reports.
+TEST(DatasetEngineTest, TailFetchesAreChargedToEngineStats) {
+  const ColGraphEngine engine = BuildPrimaryPlusTail();
+  const GraphQuery tail_only = GraphQuery::FromPath({N(2), N(9)});
+  const uint64_t bitmaps = engine.stats().bitmap_columns_fetched;
+  const uint64_t columns = engine.stats().measure_columns_fetched;
+  const uint64_t values = engine.stats().values_fetched;
+  const auto table = engine.RunGraphQuery(tail_only);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ(table->num_rows(), 30u);
+  // The tail's one bitmap and one measure column; the primary has neither.
+  EXPECT_EQ(engine.stats().bitmap_columns_fetched - bitmaps, 1u);
+  EXPECT_EQ(engine.stats().measure_columns_fetched - columns, 1u);
+  EXPECT_EQ(engine.stats().values_fetched - values, 30u);
 }
 
 }  // namespace

@@ -201,7 +201,7 @@ const char* Name(Layout layout) {
 }
 
 // The FetchStats a FetchMeasures of `table` must charge under `layout`
-// (counters of the primary relation).
+// (the engine's counters, which every segment's fetches are charged to).
 StatsDelta ExpectedFetchDelta(Layout layout, const ColGraphEngine& engine,
                               const MeasureTable& table) {
   const size_t n = table.records.size();
@@ -212,7 +212,7 @@ StatsDelta ExpectedFetchDelta(Layout layout, const ColGraphEngine& engine,
   if (layout == Layout::kTails) {
     // One visit per segment owning a row. A segment reads (and is charged
     // for) only the columns it has; the others stay NULL for its rows.
-    // Only the primary's column fetches count in the primary's stats.
+    // Every segment's column fetches count in the engine's stats.
     std::vector<const MasterRelation*> segments = {&engine.relation()};
     for (const auto& tail : engine.tails()) segments.push_back(tail.get());
     d.values_fetched = 0;
@@ -229,7 +229,7 @@ StatsDelta ExpectedFetchDelta(Layout layout, const ColGraphEngine& engine,
       }
       ++d.partitions_touched;
       d.values_fetched += rows * columns;
-      if (s == 0) d.measure_columns_fetched = columns;
+      d.measure_columns_fetched += columns;
     }
     return d;
   }
