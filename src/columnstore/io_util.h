@@ -302,9 +302,10 @@ StatusOr<std::vector<char>> ReadFileBytes(const std::string& path);
                                      const void* data, size_t n);
 
 /// \brief Append-only streaming file, for logs that grow while the process
-/// runs (the query log) — the one durability shape the snapshot Writer's
-/// write-tmp-then-rename discipline cannot provide. The caller does its own
-/// framing and checksumming (obs/query_log.h); this class owns the raw
+/// runs (the query and slow-query logs) — the one durability shape the
+/// snapshot Writer's write-tmp-then-rename discipline cannot provide. The
+/// caller does its own framing and checksumming (obs/framed_log.h, over
+/// the CRC frame codec in util/frame.h); this class owns the raw
 /// descriptor so all file I/O stays inside io_util (repo lint
 /// [raw-stream]). Failpoints: "io:open_append", "io:short_write" (shared
 /// with Writer::Commit), "io:fsync".

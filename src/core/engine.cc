@@ -264,6 +264,12 @@ StatusOr<size_t> ColGraphEngine::SelectAndMaterializeGraphViews(
     COLGRAPH_ASSIGN_OR_RETURN(candidates,
                               GenerateGraphViewCandidates(universes, gen));
   }
+  // Views belong to segment 0: a candidate over an edge the primary has no
+  // column for (one only a tail recorded) would be empty there.
+  const size_t num_columns = relation().num_edge_columns();
+  std::erase_if(candidates, [num_columns](const GraphViewDef& def) {
+    return !def.edges.empty() && def.edges.back() >= num_columns;  // sorted
+  });
   const SetCoverSelection selection =
       GreedyExtendedSetCover(universes, candidates, budget);
 
@@ -285,7 +291,8 @@ StatusOr<size_t> ColGraphEngine::SelectAndMaterializeAggViews(
     const std::vector<GraphQuery>& workload, AggFn fn, size_t budget) {
   COLGRAPH_ASSIGN_OR_RETURN(
       std::vector<AggViewDef> selected,
-      SelectAggregateViews(workload, fn, catalog_, budget));
+      SelectAggregateViews(workload, fn, catalog_, budget,
+                           relation().num_edge_columns()));
   COLGRAPH_RETURN_NOT_OK(
       MaterializeAggViews(selected, &OwnedRelation(), &views_, pool_.get())
           .status());

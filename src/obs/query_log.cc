@@ -1,40 +1,18 @@
 #include "obs/query_log.h"
 
-#include <cstdio>
-#include <cstring>
-
-#include "obs/metrics.h"
-#include "util/check.h"
-#include "util/crc32.h"
+#include "columnstore/io_util.h"
+#include "obs/query_log_reader.h"
+#include "util/frame.h"
 
 namespace colgraph::obs {
 
 namespace {
 
-/// Process-wide mirror of per-log drop counts: disk-full capture loss must
-/// show up in DumpMetricsJson, not just in one QueryLog instance.
-Counter& DroppedCounter() {
-  static Counter& c =
-      MetricsRegistry::Global().GetCounter("query_log.dropped");
-  return c;
-}
-
-constexpr uint8_t kFrameRecord = 0;
-constexpr uint8_t kFrameFooter = 1;
-
-void AppendBytes(std::vector<char>* out, const void* data, size_t n) {
-  if (n == 0) return;  // out->data() may still be null; memcpy is nonnull
-  const size_t old = out->size();
-  out->resize(old + n);
-  std::memcpy(out->data() + old, data, n);
-}
-
-template <typename T>
-void AppendPod(std::vector<char>* out, const T& value) {
-  AppendBytes(out, &value, sizeof(T));
-}
-
-// Serializes the record payload (frame header excluded).
+// Record payload: [u8 kind][u8 fn][u16 pad]
+//   [u32 n][n × (from.base, from.occ, to.base, to.occ) u32]  edges
+//   [u32 n][n × (base, occ) u32]                              isolated nodes
+//   [u32 n][n × u32] graph views   [u32 n][n × u32] agg views
+//   [kNumQueryPhases × u64 phase_us][u64 total_us][u64 cardinality]
 void AppendRecordPayload(const QueryLogRecord& r, std::vector<char>* out) {
   AppendPod(out, static_cast<uint8_t>(r.kind));
   AppendPod(out, static_cast<uint8_t>(r.fn));
@@ -62,13 +40,56 @@ void AppendRecordPayload(const QueryLogRecord& r, std::vector<char>* out) {
   AppendPod(out, r.result_cardinality);
 }
 
-// Wraps `payload` in a [type|len|crc|payload] frame appended to `out`.
-void AppendFrame(uint8_t type, const std::vector<char>& payload,
-                 std::vector<char>* out) {
-  AppendPod(out, type);
-  AppendPod(out, static_cast<uint64_t>(payload.size()));
-  AppendPod(out, Crc32c(payload.data(), payload.size()));
-  AppendBytes(out, payload.data(), payload.size());
+Status ReadNode(LogPayloadCursor* c, NodeRef* n) {
+  COLGRAPH_RETURN_NOT_OK(c->Read(&n->base));
+  return c->Read(&n->occurrence);
+}
+
+Status ReadIndexes(LogPayloadCursor* c, std::vector<uint32_t>* out) {
+  uint32_t n = 0;
+  COLGRAPH_RETURN_NOT_OK(c->ReadCount(sizeof(uint32_t), &n));
+  out->resize(n);
+  for (uint32_t& v : *out) COLGRAPH_RETURN_NOT_OK(c->Read(&v));
+  return Status::OK();
+}
+
+Status DecodeRecordPayload(LogPayloadCursor* c, QueryLogRecord* out) {
+  uint8_t kind = 0, fn = 0;
+  uint16_t pad = 0;
+  COLGRAPH_RETURN_NOT_OK(c->Read(&kind));
+  COLGRAPH_RETURN_NOT_OK(c->Read(&fn));
+  COLGRAPH_RETURN_NOT_OK(c->Read(&pad));
+  if (kind > static_cast<uint8_t>(QueryLogKind::kPathAgg)) {
+    return c->Corrupt("unknown query kind");
+  }
+  if (fn > static_cast<uint8_t>(AggFn::kAvg)) {
+    return c->Corrupt("unknown aggregate function");
+  }
+  if (pad != 0) return c->Corrupt("nonzero record padding");
+  out->kind = static_cast<QueryLogKind>(kind);
+  out->fn = static_cast<AggFn>(fn);
+
+  // Self-edges are legal here: query graphs carry them as node-measure
+  // constraints, and capture stores g.edges() verbatim so ToQuery() can
+  // rebuild the exact original query.
+  uint32_t n = 0;
+  COLGRAPH_RETURN_NOT_OK(c->ReadCount(4 * sizeof(uint32_t), &n));
+  out->edges.resize(n);
+  for (Edge& e : out->edges) {
+    COLGRAPH_RETURN_NOT_OK(ReadNode(c, &e.from));
+    COLGRAPH_RETURN_NOT_OK(ReadNode(c, &e.to));
+  }
+  COLGRAPH_RETURN_NOT_OK(c->ReadCount(2 * sizeof(uint32_t), &n));
+  out->isolated_nodes.resize(n);
+  for (NodeRef& node : out->isolated_nodes) {
+    COLGRAPH_RETURN_NOT_OK(ReadNode(c, &node));
+  }
+  COLGRAPH_RETURN_NOT_OK(ReadIndexes(c, &out->graph_view_indexes));
+  COLGRAPH_RETURN_NOT_OK(ReadIndexes(c, &out->agg_view_indexes));
+
+  for (uint64_t& us : out->phase_us) COLGRAPH_RETURN_NOT_OK(c->Read(&us));
+  COLGRAPH_RETURN_NOT_OK(c->Read(&out->total_us));
+  return c->Read(&out->result_cardinality);
 }
 
 }  // namespace
@@ -95,9 +116,9 @@ GraphQuery QueryLogRecord::ToQuery() const {
 }
 
 void AppendRecordFrame(const QueryLogRecord& record, std::vector<char>* out) {
-  std::vector<char> payload;
-  AppendRecordPayload(record, &payload);
-  AppendFrame(kFrameRecord, payload, out);
+  const size_t start = BeginFrame(kLogRecordFrame, out);
+  AppendRecordPayload(record, out);
+  EndFrame(start, out);
 }
 
 StatusOr<std::unique_ptr<QueryLog>> QueryLog::Open(QueryLogOptions options) {
@@ -106,19 +127,8 @@ StatusOr<std::unique_ptr<QueryLog>> QueryLog::Open(QueryLogOptions options) {
   }
   COLGRAPH_ASSIGN_OR_RETURN(io::AppendFile file,
                             io::AppendFile::Create(options.path));
-  std::unique_ptr<QueryLog> log(
+  return std::unique_ptr<QueryLog>(
       new QueryLog(std::move(options), std::move(file)));
-  AppendPod(&log->buffer_, kQueryLogMagic);
-  AppendPod(&log->buffer_, kQueryLogVersion);
-  return log;
-}
-
-QueryLog::~QueryLog() {
-  const Status s = Close();
-  if (!s.ok()) {
-    std::fprintf(stderr, "colgraph: query log close failed: %s\n",
-                 s.ToString().c_str());
-  }
 }
 
 void QueryLog::Append(const QueryLogRecord& record) {
@@ -126,69 +136,23 @@ void QueryLog::Append(const QueryLogRecord& record) {
   // part of the hot path.
   std::vector<char> frame;
   AppendRecordFrame(record, &frame);
-
-  const MutexLock lock(mu_);
-  if (closed_) return;
-  if (!first_error_.ok()) {
-    // Poisoned (disk full, torn write): the engine keeps serving; the
-    // record is dropped and the loss is counted, not fatal.
-    ++dropped_;
-    DroppedCounter().Increment();
-    return;
-  }
-  AppendBytes(&buffer_, frame.data(), frame.size());
-  ++records_;
-  ++buffered_records_;
-  if (buffer_.size() >= options_.flush_bytes) FlushLocked();
+  Enqueue(frame);
 }
 
-void QueryLog::FlushLocked() {
-  if (buffer_.empty() || !first_error_.ok()) return;
-  const Status s = file_.Append(buffer_.data(), buffer_.size());
-  buffer_.clear();
-  if (!s.ok()) {
-    first_error_ = s;
-    // The buffered records went down with the failed write.
-    dropped_ += buffered_records_;
-    DroppedCounter().Add(buffered_records_);
-    std::fprintf(stderr,
-                 "colgraph: query log write failed, capture degraded to "
-                 "dropping (%s)\n",
-                 s.ToString().c_str());
-  }
-  buffered_records_ = 0;
+StatusOr<std::vector<QueryLogRecord>> DecodeQueryLog(
+    const std::vector<char>& data, const std::string& what) {
+  std::vector<QueryLogRecord> records;
+  COLGRAPH_RETURN_NOT_OK(DecodeFramedLog(
+      kQueryLogFormat, data, what, [&records](LogPayloadCursor* c) {
+        records.emplace_back();
+        return DecodeRecordPayload(c, &records.back());
+      }));
+  return records;
 }
 
-Status QueryLog::Flush() {
-  const MutexLock lock(mu_);
-  FlushLocked();
-  return first_error_;
-}
-
-Status QueryLog::Close() {
-  const MutexLock lock(mu_);
-  if (closed_) return first_error_;
-  closed_ = true;
-  if (first_error_.ok()) {
-    std::vector<char> footer;
-    AppendPod(&footer, kQueryLogFooterMagic);
-    AppendPod(&footer, records_);
-    AppendFrame(kFrameFooter, footer, &buffer_);
-    FlushLocked();
-  }
-  const Status sync = file_.SyncAndClose();
-  if (first_error_.ok()) first_error_ = sync;
-  return first_error_;
-}
-
-uint64_t QueryLog::records_appended() const {
-  const MutexLock lock(mu_);
-  return records_;
-}
-
-uint64_t QueryLog::records_dropped() const {
-  const MutexLock lock(mu_);
-  return dropped_;
+StatusOr<std::vector<QueryLogRecord>> ReadQueryLog(const std::string& path) {
+  COLGRAPH_ASSIGN_OR_RETURN(std::vector<char> data, io::ReadFileBytes(path));
+  return DecodeQueryLog(data, path);
 }
 
 }  // namespace colgraph::obs

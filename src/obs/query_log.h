@@ -5,25 +5,10 @@
 // selection (§5.2–§5.4) is driven entirely by the observed workload; this
 // log is how a deployment observes one.
 //
-// File format (all integers host byte order, like the snapshot codecs):
-//
-//   header:  [u32 magic "CGQL"][u32 version = 1]
-//   frame*:  [u8 type][u64 payload_len][u32 crc32c(payload)][payload]
-//            type 0 = query record, type 1 = footer
-//   footer payload: [u32 footer magic "CGQF"][u64 record_count]
-//
-// The footer frame is mandatory and must be the file's last bytes: a log
-// without it — any truncation, including one cut exactly at a frame
-// boundary — reads as Status::Corruption, never as a silently shorter
-// workload. Records are framed individually so the writer can stream
-// appends; each frame's CRC-32C catches bit rot in place.
-//
-// Durability: appends are buffered in memory (the hot path pays a mutex +
-// memcpy enqueue, no syscalls) and written out once the buffer exceeds
-// QueryLogOptions::flush_bytes; Close() writes the footer and fsyncs. A
-// crash before Close() loses only the un-Closed tail — by design the log
-// is advisory observability data, not the database of record (contrast
-// snapshot v2's write-tmp-then-rename in io_util.h).
+// The file is a framed log (obs/framed_log.h: header, CRC frames, the
+// mandatory footer, buffered poison-on-failure writes) with magic "CGQL",
+// footer magic "CGQF" and version 1; this header defines the record
+// payload codec on top of it.
 #pragma once
 
 #include <atomic>
@@ -32,12 +17,11 @@
 #include <string>
 #include <vector>
 
-#include "columnstore/io_util.h"
 #include "graph/graph.h"
+#include "obs/framed_log.h"
 #include "obs/trace.h"
 #include "query/agg_fn.h"
 #include "util/status.h"
-#include "util/sync.h"
 
 namespace colgraph::obs {
 
@@ -61,6 +45,10 @@ inline void SetQueryLogEnabled(bool on) {
 inline constexpr uint32_t kQueryLogMagic = 0x4C514743;   // "CGQL"
 inline constexpr uint32_t kQueryLogFooterMagic = 0x46514743;  // "CGQF"
 inline constexpr uint32_t kQueryLogVersion = 1;
+
+inline constexpr FramedLogFormat kQueryLogFormat = {
+    "query log", kQueryLogMagic, kQueryLogFooterMagic, kQueryLogVersion,
+    "query_log.dropped"};
 
 /// What kind of query a log record captures.
 enum class QueryLogKind : uint8_t { kMatch = 0, kPathAgg = 1 };
@@ -113,64 +101,32 @@ struct QueryLogOptions {
 };
 
 /// \brief Append-only query-log writer. Thread-safe: batch workers append
-/// concurrently; each Append serializes its record and enqueues it under
-/// one mutex.
+/// concurrently; each Append serializes its record outside the lock and
+/// enqueues the frame under one mutex.
 ///
 /// Errors: Append is void (hot path) — the first failed file write poisons
-/// the log (later appends drop, a one-line warning goes to stderr) and the
-/// error is returned from Close(). Close() is idempotent and must be called
-/// for the log to be readable at all (it writes the mandatory footer).
-class QueryLog {
+/// the log (later appends drop and count into `query_log.dropped`, a
+/// one-line warning goes to stderr) and the error is returned from
+/// Close(). Close() is idempotent and must be called for the log to be
+/// readable at all (it writes the mandatory footer); the destructor closes
+/// best-effort.
+class QueryLog final : public FramedLogWriter {
  public:
   /// Creates (truncating) the log file and writes the header.
   static StatusOr<std::unique_ptr<QueryLog>> Open(QueryLogOptions options);
 
-  QueryLog(const QueryLog&) = delete;
-  QueryLog& operator=(const QueryLog&) = delete;
-  /// Best-effort Close() (footer + fsync); errors only warn on stderr.
-  ~QueryLog();
-
   /// Serializes and enqueues one record; flushes if the buffer is full.
   void Append(const QueryLogRecord& record);
-
-  /// Writes any buffered frames to the file (no fsync, no footer).
-  [[nodiscard]] Status Flush();
-
-  /// Flushes, appends the footer frame, fsyncs, and closes. Idempotent;
-  /// returns the first error the log hit, if any. After Close() further
-  /// Appends drop silently.
-  [[nodiscard]] Status Close();
-
-  /// Records accepted so far (including buffered, unflushed ones).
-  uint64_t records_appended() const;
-
-  /// Records dropped after the log was poisoned by a write failure (disk
-  /// full, injected fault): the buffered records discarded by the failing
-  /// flush plus every record offered afterwards. Mirrored into the
-  /// process-wide counter `query_log.dropped` so DumpMetricsJson surfaces
-  /// the degradation (capture loss must be observable, never fatal).
-  uint64_t records_dropped() const;
 
   const std::string& path() const { return options_.path; }
 
  private:
-  explicit QueryLog(QueryLogOptions options, io::AppendFile file)
-      : options_(std::move(options)), file_(std::move(file)) {}
-
-  // Flushes buffer_ to file_; on failure poisons the log.
-  void FlushLocked() COLGRAPH_REQUIRES(mu_);
+  QueryLog(QueryLogOptions options, io::AppendFile file)
+      : FramedLogWriter(kQueryLogFormat, options.flush_bytes,
+                        std::move(file)),
+        options_(std::move(options)) {}
 
   const QueryLogOptions options_;
-
-  mutable Mutex mu_;
-  io::AppendFile file_ COLGRAPH_GUARDED_BY(mu_);
-  std::vector<char> buffer_ COLGRAPH_GUARDED_BY(mu_);
-  uint64_t records_ COLGRAPH_GUARDED_BY(mu_) = 0;
-  /// Records currently in buffer_ (lost if the next flush fails).
-  uint64_t buffered_records_ COLGRAPH_GUARDED_BY(mu_) = 0;
-  uint64_t dropped_ COLGRAPH_GUARDED_BY(mu_) = 0;
-  bool closed_ COLGRAPH_GUARDED_BY(mu_) = false;
-  Status first_error_ COLGRAPH_GUARDED_BY(mu_) = Status::OK();
 };
 
 /// Serializes one record as a complete [type|len|crc|payload] frame,

@@ -1,4 +1,5 @@
-// Validating reader for the query-log format defined in obs/query_log.h.
+// Validating reader for the query-log format defined in obs/query_log.h
+// (implemented there, over DecodeFramedLog in obs/framed_log.h).
 //
 // Structural guarantees (torture-tested like the snapshot codecs): a log
 // that was not cleanly Close()d — any byte truncation, a missing footer,

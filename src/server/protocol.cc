@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "util/crc32.h"
-
 namespace colgraph::server {
 
 namespace {
@@ -13,17 +11,9 @@ constexpr uint32_t kResponseMagic = 0x53524743;  // 'CGRS' little-endian
 constexpr uint32_t kContextExtMagic = 0x58524743;  // 'CGRX' little-endian
 constexpr uint32_t kTraceExtMagic = 0x54524743;    // 'CGRT' little-endian
 
-void AppendBytes(std::vector<char>* out, const void* data, size_t n) {
-  if (n == 0) return;  // out->data() may still be null; memcpy is nonnull
-  const size_t old = out->size();
-  out->resize(old + n);
-  std::memcpy(out->data() + old, data, n);
-}
-
-template <typename T>
-void AppendPod(std::vector<char>* out, const T& value) {
-  AppendBytes(out, &value, sizeof(T));
-}
+// Fixed payload fields plus the largest extension, for one up-front
+// allocation per frame.
+constexpr size_t kMaxFixedPayloadBytes = 64;
 
 /// Cursor over an untrusted payload; every read is bounds-checked.
 class PayloadReader {
@@ -60,11 +50,7 @@ class PayloadReader {
 }  // namespace
 
 Status DecodeFrameHeader(const char* data, FrameHeader* out) {
-  std::memcpy(&out->type, data, sizeof(out->type));
-  std::memcpy(&out->payload_len, data + sizeof(uint8_t),
-              sizeof(out->payload_len));
-  std::memcpy(&out->crc, data + sizeof(uint8_t) + sizeof(uint64_t),
-              sizeof(out->crc));
+  *out = ParseFrameHeader(data);
   if (out->type != kRequestFrame && out->type != kResponseFrame) {
     return Status::InvalidArgument("protocol: unknown frame type " +
                                    std::to_string(out->type));
@@ -79,21 +65,13 @@ Status DecodeFrameHeader(const char* data, FrameHeader* out) {
 
 Status VerifyFrameCrc(const FrameHeader& header, const char* payload,
                       size_t len) {
-  const uint32_t actual = Crc32c(payload, len);
+  const uint32_t actual = FramePayloadCrc(payload, len);
   if (actual != header.crc) {
     return Status::Corruption("protocol: frame CRC mismatch (stored " +
                               std::to_string(header.crc) + ", computed " +
                               std::to_string(actual) + ")");
   }
   return Status::OK();
-}
-
-void AppendFrame(uint8_t type, const std::vector<char>& payload,
-                 std::vector<char>* out) {
-  AppendPod(out, type);
-  AppendPod(out, static_cast<uint64_t>(payload.size()));
-  AppendPod(out, Crc32c(payload.data(), payload.size()));
-  AppendBytes(out, payload.data(), payload.size());
 }
 
 uint32_t WireCodeFromStatus(const Status& status) {
@@ -171,41 +149,44 @@ Status Response::ToStatus() const {
 }
 
 void AppendRequestFrame(const Request& request, std::vector<char>* out) {
-  std::vector<char> payload;
-  AppendPod(&payload, kRequestMagic);
-  AppendPod(&payload, static_cast<uint8_t>(request.op));
-  AppendPod(&payload, uint8_t{0});
-  AppendPod(&payload, uint16_t{0});  // pad: keeps timeout_ms aligned
-  AppendPod(&payload, request.timeout_ms);
-  AppendPod(&payload, static_cast<uint32_t>(request.body.size()));
-  AppendBytes(&payload, request.body.data(), request.body.size());
+  out->reserve(out->size() + kFrameHeaderBytes + kMaxFixedPayloadBytes +
+               request.body.size());
+  const size_t start = BeginFrame(kRequestFrame, out);
+  AppendPod(out, kRequestMagic);
+  AppendPod(out, static_cast<uint8_t>(request.op));
+  AppendPod(out, uint8_t{0});
+  AppendPod(out, uint16_t{0});  // pad: keeps timeout_ms aligned
+  AppendPod(out, request.timeout_ms);
+  AppendPod(out, static_cast<uint32_t>(request.body.size()));
+  AppendBytes(out, request.body.data(), request.body.size());
   if (request.has_context) {
     // Opt-in extension: a context-free request stays byte-identical to the
     // pre-extension encoding (the compat contract in the header comment).
-    AppendPod(&payload, kContextExtMagic);
-    AppendPod(&payload, request.context.request_id);
-    AppendPod(&payload, request.context.flags);
-    AppendPod(&payload, uint8_t{0});
-    AppendPod(&payload, uint16_t{0});  // pad: keeps the payload end aligned
+    AppendPod(out, kContextExtMagic);
+    AppendPod(out, request.context.request_id);
+    AppendPod(out, request.context.flags);
+    AppendPod(out, uint8_t{0});
+    AppendPod(out, uint16_t{0});  // pad: keeps the payload end aligned
   }
-  AppendFrame(kRequestFrame, payload, out);
+  EndFrame(start, out);
 }
 
 void AppendResponseFrame(const Response& response, std::vector<char>* out) {
-  std::vector<char> payload;
-  AppendPod(&payload, kResponseMagic);
-  AppendPod(&payload, response.code);
-  AppendPod(&payload, response.snapshot_epoch);
-  AppendPod(&payload, static_cast<uint32_t>(response.body.size()));
-  AppendBytes(&payload, response.body.data(), response.body.size());
+  out->reserve(out->size() + kFrameHeaderBytes + kMaxFixedPayloadBytes +
+               response.body.size() + response.trace_json.size());
+  const size_t start = BeginFrame(kResponseFrame, out);
+  AppendPod(out, kResponseMagic);
+  AppendPod(out, response.code);
+  AppendPod(out, response.snapshot_epoch);
+  AppendPod(out, static_cast<uint32_t>(response.body.size()));
+  AppendBytes(out, response.body.data(), response.body.size());
   if (response.has_trace) {
-    AppendPod(&payload, kTraceExtMagic);
-    AppendPod(&payload, response.request_id);
-    AppendPod(&payload, static_cast<uint32_t>(response.trace_json.size()));
-    AppendBytes(&payload, response.trace_json.data(),
-                response.trace_json.size());
+    AppendPod(out, kTraceExtMagic);
+    AppendPod(out, response.request_id);
+    AppendPod(out, static_cast<uint32_t>(response.trace_json.size()));
+    AppendBytes(out, response.trace_json.data(), response.trace_json.size());
   }
-  AppendFrame(kResponseFrame, payload, out);
+  EndFrame(start, out);
 }
 
 StatusOr<Request> DecodeRequestPayload(const char* data, size_t len) {

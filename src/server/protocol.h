@@ -1,8 +1,6 @@
-// colgraphd wire protocol (DESIGN.md §12): length-prefixed CRC-32C-framed
-// request/response messages over a local stream socket, reusing the frame
-// idiom of the durable query log (obs/query_log.h):
-//
-//   [u8 type][u64 payload_len LE][u32 crc32c(payload)][payload bytes]
+// colgraphd wire protocol (DESIGN.md §12): length-prefixed request/response
+// messages over a local stream socket, each one CRC frame (util/frame.h,
+// DESIGN.md §7 "CRC frame") with type 0x10 (request) or 0x11 (response).
 //
 // Request payload:
 //   [u32 magic 'CGRQ'][u8 op][u8 pad x3][u64 timeout_ms][u32 len][body]
@@ -36,28 +34,22 @@
 #include <string>
 #include <vector>
 
+#include "util/frame.h"
 #include "util/status.h"
 
 namespace colgraph::server {
 
-// --- Frame layer. ---
+// --- Frame layer: the shared CRC frame codec. ---
+
+using ::colgraph::FrameHeader;
+using ::colgraph::kFrameHeaderBytes;
 
 inline constexpr uint8_t kRequestFrame = 0x10;
 inline constexpr uint8_t kResponseFrame = 0x11;
 
-/// [type][len][crc] — the fixed prefix of every frame.
-inline constexpr size_t kFrameHeaderBytes =
-    sizeof(uint8_t) + sizeof(uint64_t) + sizeof(uint32_t);
-
 /// Upper bound on one frame's payload. A hostile or corrupt length prefix
 /// must not make the peer allocate unbounded memory.
 inline constexpr uint64_t kMaxFramePayloadBytes = uint64_t{64} << 20;
-
-struct FrameHeader {
-  uint8_t type = 0;
-  uint64_t payload_len = 0;
-  uint32_t crc = 0;
-};
 
 /// Parses a frame header from exactly kFrameHeaderBytes of `data`.
 /// Rejects unknown frame types and payload lengths above the cap.
@@ -66,10 +58,6 @@ struct FrameHeader {
 /// Verifies `payload` against the header's CRC-32C.
 [[nodiscard]] Status VerifyFrameCrc(const FrameHeader& header,
                                     const char* payload, size_t len);
-
-/// Wraps `payload` in a [type|len|crc|payload] frame appended to `out`.
-void AppendFrame(uint8_t type, const std::vector<char>& payload,
-                 std::vector<char>* out);
 
 // --- Wire status codes (frozen; see the table in DESIGN.md §12). ---
 

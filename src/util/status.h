@@ -134,7 +134,12 @@ class [[nodiscard]] StatusOr {
   StatusOr(Status status) : status_(std::move(status)) {}  // NOLINT implicit
 
   bool ok() const { return value_.has_value(); }
-  const Status& status() const { return status_; }
+  const Status& status() const& { return status_; }
+  /// On a temporary (`f().status()`) the Status is moved out by value, so
+  /// a caller that binds the result by reference — COLGRAPH_CHECK_OK's
+  /// `auto&&` — holds a live Status, not a reference into the destroyed
+  /// StatusOr.
+  Status status() && { return std::move(status_); }
 
   T& value() & {
     COLGRAPH_DCHECK(ok()) << status().ToString();

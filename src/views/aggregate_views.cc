@@ -26,7 +26,7 @@ StatusOr<AggViewDef> AggViewDefFromPath(const Path& path, AggFn fn,
 
 StatusOr<std::vector<AggViewDef>> SelectAggregateViews(
     const std::vector<GraphQuery>& workload, AggFn fn,
-    const EdgeCatalog& catalog, size_t budget) {
+    const EdgeCatalog& catalog, size_t budget, size_t num_edge_columns) {
   // 1. Maximal paths per query.
   std::vector<std::vector<Path>> maximal_paths;
   maximal_paths.reserve(workload.size());
@@ -40,12 +40,19 @@ StatusOr<std::vector<AggViewDef>> SelectAggregateViews(
   COLGRAPH_ASSIGN_OR_RETURN(std::vector<Path> candidate_paths,
                             GenerateAggViewCandidatePaths(maximal_paths));
 
-  // 3. Convert to definitions; drop paths without enough measured elements.
+  // 3. Convert to definitions; drop paths without enough measured elements
+  // and paths over an element the relation has no column for.
   std::vector<AggViewDef> defs;
   std::vector<GraphViewDef> cover_sets;  // sorted element sets for the greedy
   for (const Path& p : candidate_paths) {
     auto def = AggViewDefFromPath(p, fn, catalog);
-    if (!def.ok()) continue;
+    if (!def.ok() ||
+        std::any_of(def->elements.begin(), def->elements.end(),
+                    [num_edge_columns](EdgeId id) {
+                      return id >= num_edge_columns;
+                    })) {
+      continue;
+    }
     cover_sets.push_back(GraphViewDef::Make(def->elements));
     defs.push_back(std::move(def).value());
   }

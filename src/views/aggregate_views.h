@@ -5,6 +5,7 @@
 // cost model.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "graph/catalog.h"
@@ -31,9 +32,13 @@ StatusOr<AggViewDef> AggViewDefFromPath(const Path& path, AggFn fn,
 /// 3. greedily selects at most `budget` views maximizing the number of
 ///    covered path elements across the workload.
 ///
-/// Returns the selected definitions (ready for MaterializeAggView).
+/// Candidates over an element id at or above `num_edge_columns` (one the
+/// relation the views are built on has no column for) are dropped before
+/// the cover. Returns the selected definitions (ready for
+/// MaterializeAggView).
 StatusOr<std::vector<AggViewDef>> SelectAggregateViews(
     const std::vector<GraphQuery>& workload, AggFn fn,
-    const EdgeCatalog& catalog, size_t budget);
+    const EdgeCatalog& catalog, size_t budget,
+    size_t num_edge_columns = std::numeric_limits<size_t>::max());
 
 }  // namespace colgraph

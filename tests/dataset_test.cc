@@ -535,6 +535,36 @@ ColGraphEngine BuildPrimaryPlusTail() {
   return engine;
 }
 
+// View selection with a tail attached: the catalog holds the tail-only
+// edge 2->9, but views belong to segment 0, which has no column for it.
+// Candidates over it are dropped; selection succeeds and answers stay put.
+TEST(DatasetEngineTest, ViewSelectionSkipsTailOnlyEdges) {
+  ColGraphEngine engine;
+  for (uint64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(engine.AddWalk({1, 2, 3}, MeasuresFor({1, 2, 3}, i)).ok());
+  }
+  ASSERT_TRUE(engine.Seal().ok());
+  std::vector<GraphRecord> records;
+  for (uint64_t i = 0; i < 5; ++i) records.push_back(RecordFor({2, 9}, i));
+  auto tail = engine.BuildTailRelation(records);
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  ASSERT_TRUE(engine
+                  .AttachDataset(std::make_shared<const MasterRelation>(
+                      std::move(tail).value()))
+                  .ok());
+
+  const GraphQuery q = GraphQuery::FromPath({N(1), N(2), N(9)});
+  const std::vector<GraphQuery> workload = {q, q};
+  const size_t matched = engine.Match(q).Count();
+  const auto graph_views = engine.SelectAndMaterializeGraphViews(workload, 4);
+  ASSERT_TRUE(graph_views.ok()) << graph_views.status().ToString();
+  const auto agg_views =
+      engine.SelectAndMaterializeAggViews(workload, AggFn::kSum, 4);
+  ASSERT_TRUE(agg_views.ok()) << agg_views.status().ToString();
+  EXPECT_EQ(engine.Match(q).Count(), matched);
+  EXPECT_EQ(engine.Match(GraphQuery::FromPath({N(2), N(9)})).Count(), 5u);
+}
+
 // EXPLAIN counts the matches of every segment, not just the primary's.
 TEST(DatasetEngineTest, ExplainCountsTailRecords) {
   const ColGraphEngine engine = BuildPrimaryPlusTail();

@@ -49,6 +49,8 @@ TEST(LintInvariantsTest, KnownBadFixtureTripsEveryRule) {
   EXPECT_NE(r.output.find("[no-adhoc-timing]"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("[no-raw-socket]"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("[no-raw-mmap]"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("[one-frame-codec]"), std::string::npos)
+      << r.output;
   // The socket rule's one carve-out: src/server/net_* may touch the raw
   // API, so the exempt fixture must never be flagged.
   EXPECT_EQ(r.output.find("net_fixture.cc"), std::string::npos) << r.output;

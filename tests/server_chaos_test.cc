@@ -305,6 +305,14 @@ TEST_F(ServerChaosTest, SlowQueryLogDiskFullDegradesCaptureNotServing) {
   const auto during = client.Query("[1,2,3]");
   ASSERT_TRUE(during.ok()) << during.status().ToString();
   EXPECT_TRUE(during->ok());
+  // The daemon captures a request after writing its response, so the
+  // response can arrive before the capture's flush reaches the armed
+  // failpoint: wait (bounded) for that flush before disarming.
+  ASSERT_NE(daemon_->slow_query_log(), nullptr);
+  for (int i = 0;
+       i < 2000 && daemon_->slow_query_log()->records_dropped() == 0; ++i) {
+    ::usleep(1000);
+  }
   failpoint::DisarmAll();
 
   for (int i = 0; i < 5; ++i) {
@@ -312,7 +320,6 @@ TEST_F(ServerChaosTest, SlowQueryLogDiskFullDegradesCaptureNotServing) {
     ASSERT_TRUE(after.ok()) << after.status().ToString();
     EXPECT_TRUE(after->ok());
   }
-  ASSERT_NE(daemon_->slow_query_log(), nullptr);
   EXPECT_GE(daemon_->slow_query_log()->records_dropped(), 5u);
   (void)std::remove((query_log_path_ + ".sq").c_str());
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
+#include "util/check.h"
+
 namespace colgraph {
 namespace {
 
@@ -79,6 +83,18 @@ TEST(StatusOrTest, MoveOutValue) {
   StatusOr<std::string> v(std::string("hello"));
   std::string out = std::move(v).value();
   EXPECT_EQ(out, "hello");
+}
+
+TEST(StatusOrTest, StatusOfATemporaryIsOwned) {
+  // COLGRAPH_CHECK_OK(f().status()) binds the Status with `auto&&`; a
+  // reference into the temporary StatusOr would dangle once the full
+  // expression ends, so an rvalue StatusOr hands its Status out by value.
+  EXPECT_TRUE((std::is_same_v<decltype(StatusOr<int>(1).status()), Status>));
+  StatusOr<int> lvalue(1);
+  EXPECT_TRUE((std::is_same_v<decltype(lvalue.status()), const Status&>));
+  const Status moved = StatusOr<int>(Status::NotFound("gone")).status();
+  EXPECT_TRUE(moved.IsNotFound());
+  COLGRAPH_CHECK_OK(StatusOr<int>(3).status());
 }
 
 StatusOr<int> Half(int x) {

@@ -68,6 +68,14 @@ Rules
                      and failpoint instrumented. src/server/net_* itself is
                      exempt; capitalized wrappers (Connect/Bind/Accept) and
                      std::bind are not matched.
+  one-frame-codec    Library code must not call Crc32c( directly outside
+                     util/crc32.*, util/frame.cc and columnstore/io_util.cc:
+                     every [type][len][crc][payload] frame (the query log,
+                     the slow-query log, the wire protocol) goes through
+                     the shared codec in util/frame.h, so a new format
+                     cannot grow a private copy of the framing. io_util.cc
+                     stays exempt for the snapshot section/footer CRCs,
+                     which are a different layout.
 """
 
 import argparse
@@ -93,6 +101,13 @@ RAW_SOCKET_CALL = re.compile(
 RAW_MMAP_CALL = re.compile(
     r"(^|[^\w.>:])(::\s*)?(?:mmap|munmap|mremap)\s*\("
 )
+
+# A direct CRC-32C call (the declaration in util/crc32.h included).
+CRC32C_CALL = re.compile(r"\bCrc32c\s*\(")
+
+# The only library files that may compute a CRC-32C themselves.
+CRC32C_HOMES = ("util/crc32.h", "util/crc32.cc", "util/frame.cc",
+                "columnstore/io_util.cc")
 
 # Statement openers that legitimately consume a Status result.
 CONSUMED_PREFIX = re.compile(
@@ -160,6 +175,7 @@ def lint_file(path, rel, status_fns, errors, in_library):
     is_sync = posix_rel.endswith("util/sync.h")
     is_net = posix_rel.startswith("src/server/net_")
     is_mem_map = posix_rel.endswith("columnstore/mem_map.cc")
+    is_crc_home = posix_rel.endswith(CRC32C_HOMES)
 
     if is_header:
         first_code = next(
@@ -247,6 +263,14 @@ def lint_file(path, rel, status_fns, errors, in_library):
                     f"poll-timeout bounded, EINTR-looped, SIGPIPE-safe, "
                     f"failpoint instrumented), not the raw socket(2)/"
                     f"send/recv API"
+                )
+            if not is_crc_home and CRC32C_CALL.search(line):
+                errors.append(
+                    f"{rel}:{i}: [one-frame-codec] frame CRCs go through "
+                    f"the shared codec in util/frame.h (BeginFrame/EndFrame, "
+                    f"AppendFrame, FramePayloadCrc), not a direct Crc32c "
+                    f"call; only util/crc32.*, util/frame.cc and "
+                    f"columnstore/io_util.cc compute CRCs themselves"
                 )
             if posix_rel.startswith(
                 (

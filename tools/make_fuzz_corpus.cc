@@ -1,6 +1,6 @@
 // Regenerates the committed fuzz seed corpus (fuzz/corpus/) from real
 // artifacts: every binary seed is produced by the production writers
-// (WriteRelation, AppendRecordFrame, EwahBitmap::FromBitmap) and then
+// (WriteRelation, the query-log codec, EwahBitmap::FromBitmap) and then
 // deterministically damaged the way the torture tests damage snapshots —
 // truncation, bit flips, bad magic, implausible counts. Run it when a
 // format changes:
@@ -24,7 +24,7 @@
 #include "columnstore/persistence.h"
 #include "obs/query_log.h"
 #include "util/check.h"
-#include "util/crc32.h"
+#include "util/frame.h"
 
 namespace colgraph {
 namespace {
@@ -35,13 +35,6 @@ void WriteSeed(const std::filesystem::path& dir, const std::string& name,
   COLGRAPH_CHECK(out.good()) << "cannot write " << (dir / name).string();
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   COLGRAPH_CHECK(out.good());
-}
-
-template <typename T>
-void AppendPod(std::vector<char>* out, const T& value) {
-  const size_t old = out->size();
-  out->resize(old + sizeof(T));
-  std::memcpy(out->data() + old, &value, sizeof(T));
 }
 
 std::vector<char> Truncated(std::vector<char> bytes, size_t len) {
@@ -324,24 +317,14 @@ void MakeQueryLogSeeds(const std::filesystem::path& dir) {
   rec.result_cardinality = 42;
 
   std::vector<char> log;
-  AppendPod(&log, obs::kQueryLogMagic);
-  AppendPod(&log, obs::kQueryLogVersion);
+  obs::AppendLogHeader(obs::kQueryLogFormat, &log);
   const size_t header_end = log.size();
   for (int i = 0; i < 3; ++i) {
     rec.result_cardinality = static_cast<uint64_t>(42 + i);
     obs::AppendRecordFrame(rec, &log);
   }
   const size_t records_end = log.size();
-
-  // Footer frame, matching the writer's Close(): type 1, payload
-  // [u32 footer magic][u64 record count].
-  std::vector<char> footer_payload;
-  AppendPod(&footer_payload, obs::kQueryLogFooterMagic);
-  AppendPod(&footer_payload, uint64_t{3});
-  AppendPod(&log, uint8_t{1});
-  AppendPod(&log, static_cast<uint64_t>(footer_payload.size()));
-  AppendPod(&log, Crc32c(footer_payload.data(), footer_payload.size()));
-  log.insert(log.end(), footer_payload.begin(), footer_payload.end());
+  obs::AppendLogFooter(obs::kQueryLogFormat, 3, &log);
 
   WriteSeed(dir, "valid_log", log);
   WriteSeed(dir, "missing_footer", Truncated(log, records_end));
